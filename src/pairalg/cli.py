@@ -5,6 +5,8 @@ Exit codes: 0 computed, 1 property fails or nothing found, 2 input error,
 3 bound exhausted (unknown)."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -208,6 +210,8 @@ def _parse_seed_pairs(p, text):
 
 def cmd_radical(args):
     p = need(load_input(args.structure), "pair", args.structure)
+    if not p.finite:
+        raise StructureError("radical expects a finite structure")
     try:
         if args.generators:
             base = generate_congruence(p, _parse_seed_pairs(p, args.generators))
@@ -340,7 +344,10 @@ def cmd_ore_witness(args):
     def grab(text):
         if p.finite:
             return p.carrier.index(text)
-        return ("t", int(text))
+        try:
+            return ("t", int(text))
+        except ValueError:
+            raise StructureError("tangible %r is not an integer" % text) from None
 
     a1, a2 = grab(args.a1), grab(args.a2)
     v = growth_mod.ore_witness(p, a1, a2, degree_bound=args.degree,
@@ -355,6 +362,8 @@ def cmd_ore_witness(args):
 def cmd_krasner(args):
     structs = load_input(args.structure)
     s = need(structs, "semiring", args.structure)
+    if not s.finite:
+        raise StructureError("krasner expects a finite semiring")
     g = [s.index(lab) for lab in args.subgroup.split()]
     h = krasner_quotient(s, g)
     rep = verify_semihyperring(h)
@@ -458,16 +467,17 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "json", False):
-        sys.stderr = open(os.devnull, "w")
-    try:
-        return args.fn(args)
-    except (StructureError, PreconditionError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except BoundExhausted as exc:
-        print("bound exhausted: %s" % exc, file=sys.stderr)
-        return EXIT_BOUND
+    quiet = (contextlib.redirect_stderr(io.StringIO())
+             if getattr(args, "json", False) else contextlib.nullcontext())
+    with quiet:
+        try:
+            return args.fn(args)
+        except (StructureError, PreconditionError) as exc:
+            print("input error: %s" % exc, file=sys.stderr)
+            return EXIT_INPUT
+        except BoundExhausted as exc:
+            print("bound exhausted: %s" % exc, file=sys.stderr)
+            return EXIT_BOUND
 
 
 if __name__ == "__main__":

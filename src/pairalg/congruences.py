@@ -5,10 +5,10 @@ and kernels."""
 import itertools
 
 from .errors import (
-    NO, PreconditionError, StructureError, UNKNOWN, UnsupportedStructureError,
-    Verdict, YES,
+    NO, PreconditionError, StructureError, UnsupportedStructureError, Verdict,
+    YES,
 )
-from .semirings import FiniteSemiring
+from .semirings import SymbolicSemiring, tabulate, twist_product
 from .pairs import SemiringPair, verify_admissible
 
 # Marker returned when a closure or an intersection has no pair-congruence
@@ -22,24 +22,6 @@ class NoPairCongruence(StructureError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__("no pair-congruence contains seeds; closure hits %r in T x A0" % (witness,))
-
-
-def twist_product(p, x, y):
-    """(a1,a1') * (a2,a2') = (a1 a2 + a1' a2', a1 a2' + a1' a2)."""
-    c = p.carrier
-    a1, b1 = x
-    a2, b2 = y
-    return (c.add(c.mul(a1, a2), c.mul(b1, b2)),
-            c.add(c.mul(a1, b2), c.mul(b1, a2)))
-
-
-def twist_power(p, x, m):
-    if m < 1:
-        raise PreconditionError("twist power needs m >= 1")
-    acc = x
-    for _ in range(m - 1):
-        acc = twist_product(p, acc, x)
-    return acc
 
 
 def _meets_t_a0(p, relation):
@@ -112,23 +94,6 @@ class Congruence:
 
     def __and__(self, other):
         return Congruence(self.pair, self.relation & other.relation, check=False)
-
-    def is_diagonal(self):
-        return all(a == b for a, b in self.relation)
-
-    def restriction_to_a0(self):
-        return frozenset((a, b) for a, b in self.relation
-                         if self.pair.in_a0(a) and self.pair.in_a0(b))
-
-    def closed_under_switch_and_twist(self):
-        rel = self.relation
-        for x in rel:
-            if (x[1], x[0]) not in rel:
-                return False
-            for y in rel:
-                if twist_product(self.pair, x, y) not in rel:
-                    return False
-        return True
 
     def classes(self):
         seen = set()
@@ -220,26 +185,26 @@ def principal_relation(p, a):
 
 def is_semiprime(cong):
     """Element criterion: x * (AxA) * x inside the congruence forces x in."""
-    p = cong.pair
-    elems = list(p.carrier.elements())
+    c = cong.pair.carrier
+    elems = list(c.elements())
     cross = [(a, b) for a in elems for b in elems]
     for x in cross:
         if x in cong:
             continue
-        if all(twist_product(p, twist_product(p, x, y), x) in cong for y in cross):
+        if all(twist_product(c, twist_product(c, x, y), x) in cong for y in cross):
             return False
     return True
 
 
 def is_prime(cong):
     """Two-element criterion: x * (AxA) * y inside forces x in or y in."""
-    p = cong.pair
-    elems = list(p.carrier.elements())
+    c = cong.pair.carrier
+    elems = list(c.elements())
     cross = [(a, b) for a in elems for b in elems]
     outside = [x for x in cross if x not in cong]
     for x in outside:
         for y in outside:
-            if all(twist_product(p, twist_product(p, x, z), y) in cong for z in cross):
+            if all(twist_product(c, twist_product(c, x, z), y) in cong for z in cross):
                 return False
     return True
 
@@ -289,7 +254,7 @@ def radical(cong, check=True):
                 members.add(x)
                 break
             seen.add(y)
-            y = twist_product(p, y, x)
+            y = twist_product(p.carrier, y, x)
     try:
         rad = generate_congruence(p, members)
     except NoPairCongruence:
@@ -442,29 +407,6 @@ def prime_spectrum_krull(p, max_elems=8):
 # Chain probes
 
 
-def chain_probe(memberships, sample_pairs):
-    """Per-link verdicts for a chain of intensionally given congruences.
-    Link i compares membership i against i+1 on the sampled pairs:
-    contained (no sampled counterexample), plus strictness via a sampled
-    separating pair. Everything is relative to the sample."""
-    verdicts = []
-    for i in range(len(memberships) - 1):
-        lo, hi = memberships[i], memberships[i + 1]
-        contained = Verdict(YES, bound=len(sample_pairs))
-        for x in sample_pairs:
-            if lo(*x) and not hi(*x):
-                contained = Verdict(NO, witness=x)
-                break
-        sep = next((x for x in sample_pairs if hi(*x) and not lo(*x)), None)
-        if sep is not None:
-            strict = Verdict(YES, witness=sep)
-        else:
-            strict = Verdict(UNKNOWN, bound=len(sample_pairs),
-                             detail="no separating pair in sample")
-        verdicts.append({"link": i, "contained": contained, "strict": strict})
-    return verdicts
-
-
 def generated_chain_probe(p, seed_lists):
     """Chain probe where each link is the closure of explicit seeds on a
     finite (truncated) carrier. Verdicts are exact for the truncation."""
@@ -503,21 +445,23 @@ def quotient_pair(p, cong):
             cls[x] = i
 
     def induced(op):
-        table = []
-        for b1 in blocks:
-            row = []
-            for b2 in blocks:
-                vals = {cls[op(x, y)] for x in b1 for y in b2}
-                if len(vals) != 1:
-                    raise StructureError("induced operation ill-defined on classes")
-                row.append(vals.pop())
-            table.append(row)
-        return table
+        def on_classes(i, j):
+            vals = {cls[op(x, y)] for x in blocks[i] for y in blocks[j]}
+            if len(vals) != 1:
+                raise StructureError("induced operation ill-defined on classes")
+            return vals.pop()
+        return on_classes
 
-    labels = ["[%s]" % c.label(min(b, key=lambda x: order[x])) for b in blocks]
-    qcar = FiniteSemiring(labels, induced(c.add), induced(c.mul),
-                          zero=cls[c.zero], one=cls[c.one],
-                          name="%s/~" % getattr(c, "name", "A"))
+    classes = SymbolicSemiring(
+        name="%s/~" % getattr(c, "name", "A"),
+        add_fn=induced(c.add),
+        mul_fn=induced(c.mul),
+        zero=cls[c.zero],
+        one=cls[c.one],
+        sample_fn=lambda window: range(len(blocks)),
+        label_fn=lambda i: "[%s]" % c.label(min(blocks[i], key=order.get)),
+    )
+    qcar, _ = tabulate(classes, range(len(blocks)))
     qa0 = frozenset(cls[x] for x in p.a0_elements())
     qt = frozenset(cls[x] for x in p.tangible_elements())
     q = SemiringPair(qcar, qa0, qt, name="quotient")
@@ -570,8 +514,8 @@ def levitzki_sequence(cong, start, max_steps=64):
     the start generates an endless sequence, or terminates at an element
     whose sandwich products all fall inside: a semiprimeness violation
     witness when that element is outside the congruence."""
-    p = cong.pair
-    elems = list(p.carrier.elements())
+    c = cong.pair.carrier
+    elems = list(c.elements())
     cross = [(a, b) for a in elems for b in elems]
     if start in cong:
         raise PreconditionError("start the sequence outside the congruence")
@@ -579,9 +523,9 @@ def levitzki_sequence(cong, start, max_steps=64):
     seen = {start}
     for _ in range(max_steps):
         s = seq[-1]
-        nxt = next((twist_product(p, twist_product(p, s, a), s)
+        nxt = next((twist_product(c, twist_product(c, s, a), s)
                     for a in cross
-                    if twist_product(p, twist_product(p, s, a), s) not in cong), None)
+                    if twist_product(c, twist_product(c, s, a), s) not in cong), None)
         if nxt is None:
             return {"terminated": True, "witness": s, "sequence": seq}
         if nxt in seen:

@@ -5,7 +5,7 @@ localized pair."""
 import itertools
 
 from .errors import NO, PreconditionError, UNKNOWN, Verdict, YES
-from .semirings import FiniteSemiring
+from .semirings import SymbolicSemiring, tabulate
 from .pairs import SemiringPair
 
 
@@ -240,14 +240,17 @@ def build_fraction_pair(p, S, window=30, s_member=None):
                 return i
         raise PreconditionError("fraction escaped the class list")
 
-    add_table = [[cls_of(frac_add(a, b)) for b in reps] for a in reps]
-    mul_table = [[cls_of(frac_mul(a, b)) for b in reps] for a in reps]
-    labels = ["%s/%s" % (c.label(f.b), c.label(f.s)) for f in reps]
-    one = next(s for s in ctx.s_elements)
-    zero_i = cls_of(ctx.fraction(c.zero, one))
-    one_i = cls_of(ctx.fraction(c.one, one))
-    qcar = FiniteSemiring(labels, add_table, mul_table, zero_i, one_i,
-                          name="S^-1(%s)" % getattr(c, "name", "A"))
+    s0 = next(s for s in ctx.s_elements)
+    fraction_classes = SymbolicSemiring(
+        name="S^-1(%s)" % getattr(c, "name", "A"),
+        add_fn=lambda i, j: cls_of(frac_add(reps[i], reps[j])),
+        mul_fn=lambda i, j: cls_of(frac_mul(reps[i], reps[j])),
+        zero=cls_of(ctx.fraction(c.zero, s0)),
+        one=cls_of(ctx.fraction(c.one, s0)),
+        sample_fn=lambda window: range(len(reps)),
+        label_fn=lambda i: "%s/%s" % (c.label(reps[i].b), c.label(reps[i].s)),
+    )
+    qcar, _ = tabulate(fraction_classes, range(len(reps)))
     a0 = frozenset(i for i, cl in enumerate(classes)
                    if any(p.in_a0(f.b) for f in cl))
     tang = frozenset(i for i, cl in enumerate(classes)

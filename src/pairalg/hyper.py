@@ -5,6 +5,7 @@ import itertools
 
 from .errors import AxiomReport, PreconditionError, StructureError
 from .pairs import SemiringPair
+from .semirings import Carrier
 
 
 class SemiHypergroup:
@@ -156,7 +157,7 @@ def powerset_pair(h, a0_choice=A0_CONTAINS_ZERO):
                 frontier.append(u)
     elems = sorted(carrier, key=lambda s: (len(s), sorted(s)))
 
-    class PowersetCarrier:
+    class PowersetCarrier(Carrier):
         finite = True
         name = "powerset(%s)" % h.name
         zero = frozenset([h.zero])
@@ -176,18 +177,6 @@ def powerset_pair(h, a0_choice=A0_CONTAINS_ZERO):
 
         def label(self, x):
             return "{%s}" % ",".join(h.label(a) for a in sorted(x))
-
-        def sum(self, xs):
-            acc = self.zero
-            for x in xs:
-                acc = self.add(acc, x)
-            return acc
-
-        def power(self, x, k):
-            acc = self.one
-            for _ in range(k):
-                acc = self.mul(acc, x)
-            return acc
 
     carrier_obj = PowersetCarrier()
     if a0_choice == A0_CONTAINS_ZERO:
@@ -231,80 +220,8 @@ def krasner_quotient(r, g):
     multiplicative subgroup: [r] boxplus [r'] collects the cosets of all sums
     of representatives. Coset representative is the lowest element index."""
     if not r.finite:
-        raise PreconditionError("symbolic carriers need sampled_krasner_quotient")
-    g = _check_subgroup(r.mul, r.one, list(r.elements()), g)
-
-    def coset(x):
-        return frozenset(r.mul(x, a) for a in g)
-
-    cosets = []
-    seen = {}
-    for x in r.elements():
-        c = coset(x)
-        if c not in seen:
-            seen[c] = len(cosets)
-            cosets.append(c)
-    reps = [min(c) for c in cosets]
-
-    def cidx(x):
-        return seen[coset(x)]
-
-    hyperadd = []
-    for c1 in cosets:
-        row = []
-        for c2 in cosets:
-            row.append(frozenset(cidx(r.add(x, y)) for x in c1 for y in c2))
-        hyperadd.append(row)
-    mul_table = [[cidx(r.mul(reps[i], reps[j])) for j in range(len(cosets))] for i in range(len(cosets))]
-    labels = ["[%s]" % r.label(rep) for rep in reps]
-    out = SemiHyperring(
-        labels, hyperadd, mul_table,
-        zero=cidx(r.zero), one=cidx(r.one),
-        name="%s/G" % r.name,
-    )
-    rep_check = verify_semihyperring(out)
-    if not rep_check.valid:
-        raise PreconditionError("quotient fails axioms: %s" % rep_check.violations[:3])
-    return out
-
-
-def sampled_krasner_quotient(r, coset_of, sample):
-    """Coset quotient of a symbolic semiring, given a computable coset-label
-    map. The coset structure must close on finitely many labels within the
-    sample; otherwise the construction is rejected."""
-    reps = {}
-    for x in sample:
-        reps.setdefault(coset_of(x), x)
-    labels = sorted(reps)
-    pos = {lab: i for i, lab in enumerate(labels)}
-    by_label = {lab: [x for x in sample if coset_of(x) == lab] for lab in labels}
-    hyperadd = []
-    for l1 in labels:
-        row = []
-        for l2 in labels:
-            sums = set()
-            for x in by_label[l1]:
-                for y in by_label[l2]:
-                    c = coset_of(r.add(x, y))
-                    if c not in pos:
-                        raise PreconditionError("coset structure does not close at %r" % (c,))
-                    sums.add(pos[c])
-            row.append(frozenset(sums))
-        hyperadd.append(row)
-    mul_table = []
-    for l1 in labels:
-        row = []
-        for l2 in labels:
-            c = coset_of(r.mul(reps[l1], reps[l2]))
-            if c not in pos:
-                raise PreconditionError("coset structure does not close at %r" % (c,))
-            row.append(pos[c])
-        mul_table.append(row)
-    return SemiHyperring(
-        [str(l) for l in labels], hyperadd, mul_table,
-        zero=pos[coset_of(r.zero)], one=pos[coset_of(r.one)],
-        name="%s/G(sampled)" % r.name,
-    )
+        raise PreconditionError("Krasner quotient needs a finite carrier")
+    return hyper_coset_quotient(semiring_as_hyperring(r), g)
 
 
 def hyper_coset_quotient(h, g):

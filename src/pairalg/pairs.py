@@ -107,7 +107,8 @@ class SemiringPair:
         if self.surpass_fn is not None:
             return self.surpass_fn(b1, b2)
         if self.surpass_kind == "subset_inclusion":
-            return frozenset_of(self, b1) <= frozenset_of(self, b2)
+            # power-set elements are frozensets of base indices
+            return b1 <= b2
         # precedes_zero: exists y in A0 with b2 = b1 + y
         for y in self.a0_elements(window):
             if self.add(b1, y) == b2:
@@ -116,11 +117,6 @@ class SemiringPair:
 
     def __repr__(self):
         return "SemiringPair(%s)" % self.name
-
-
-def frozenset_of(pair, x):
-    # elements of power-set carriers are already frozensets of indices
-    return x
 
 
 # ---------------------------------------------------------------------------

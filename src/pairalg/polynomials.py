@@ -3,9 +3,12 @@ polynomial pairs, roots with quasi-zero values, twist substitution, and
 geometric congruences on points."""
 
 import itertools
+import operator
+from types import SimpleNamespace
 
 from .errors import PreconditionError
 from .pairs import iter_monomials
+from .semirings import Carrier, twist_product
 
 
 class Polynomial:
@@ -179,10 +182,11 @@ class PolynomialPair:
             yield self.poly(dict(zip(monos, choice)))
 
 
-class PolynomialCarrier:
+class PolynomialCarrier(Carrier):
     """Carrier view of a polynomial pair: delegates the semiring operations
     to formal polynomial arithmetic so code written against carriers works
-    on polynomials too. Sampling enumerates low-degree polynomials."""
+    on polynomials too. Sampling enumerates low-degree polynomials. The
+    operations are static, so the class itself serves as a carrier too."""
 
     finite = False
 
@@ -194,17 +198,13 @@ class PolynomialCarrier:
         self.one = Polynomial(pp.base, pp.nvars, {exp0: base.one})
         self.name = "poly(%s)" % getattr(base, "name", "?")
 
-    def add(self, f, g):
+    @staticmethod
+    def add(f, g):
         return f + g
 
-    def mul(self, f, g):
+    @staticmethod
+    def mul(f, g):
         return f * g
-
-    def power(self, f, k):
-        acc = self.one
-        for _ in range(k):
-            acc = acc * f
-        return acc
 
     def sample(self, window=8):
         pp = self._pp
@@ -257,11 +257,12 @@ def compose_star(f, g):
     return out
 
 
+# polynomials under + and the substitution product
+_COMPOSITION = SimpleNamespace(add=operator.add, mul=compose_star)
+
+
 def twist_compose_product(x, y):
-    f1, f2 = x
-    f3, f4 = y
-    return (compose_star(f1, f3) + compose_star(f2, f4),
-            compose_star(f1, f4) + compose_star(f2, f3))
+    return twist_product(_COMPOSITION, x, y)
 
 
 def check_mixed_associativity(fpair, gpair, z):
@@ -280,15 +281,13 @@ def check_mixed_associativity(fpair, gpair, z):
 
 
 def twist_conv_product(x, y):
-    f1, f2 = x
-    f3, f4 = y
-    return (f1 * f3 + f2 * f4, f1 * f4 + f2 * f3)
+    return twist_product(PolynomialCarrier, x, y)
 
 
 class GeometricCongruence:
     """Pairs of polynomials whose twist substitution lands in A0 x A0 at
     every listed point pair. Membership is decided by evaluation, so it is
-    not bounded by degree; enumeration of members is."""
+    not bounded by degree."""
 
     def __init__(self, p, points, nvars=1):
         self.pair = p
@@ -301,35 +300,6 @@ class GeometricCongruence:
             if not (self.pair.in_a0(v1) and self.pair.in_a0(v2)):
                 return False
         return True
-
-    def members_up_to(self, degree, coeffs=None):
-        pp = PolynomialPair(self.pair, self.nvars)
-        polys = list(pp.enumerate(degree, coeffs))
-        return [(f1, f2) for f1 in polys for f2 in polys if self.contains(f1, f2)]
-
-    def semiprime_check(self, degree, sandwich_degree=None, coeffs=None):
-        """Element criterion over the truncated window, with convolution
-        twist products: any excluded pair must admit a sandwich that stays
-        out. Returns (holds, witness)."""
-        if sandwich_degree is None:
-            sandwich_degree = degree
-        pp = PolynomialPair(self.pair, self.nvars)
-        polys = list(pp.enumerate(degree, coeffs))
-        mids = [(g1, g2) for g1 in pp.enumerate(sandwich_degree, coeffs)
-                for g2 in pp.enumerate(sandwich_degree, coeffs)]
-        for f1 in polys:
-            for f2 in polys:
-                if self.contains(f1, f2):
-                    continue
-                escaped = False
-                for y in mids:
-                    s1, s2 = twist_conv_product(twist_conv_product((f1, f2), y), (f1, f2))
-                    if not self.contains(s1, s2):
-                        escaped = True
-                        break
-                if not escaped:
-                    return False, (f1, f2)
-        return True, None
 
 
 def geometric_congruence(p, points, nvars=1):
@@ -355,10 +325,10 @@ def check_polypair_semiprime(p, degree=1, sandwich_degree=None, coeffs=None):
         for f2 in polys:
             if f1 == f2:
                 continue
-            if all(twist_conv_product(twist_conv_product((f1, f2), y), (f1, f2))[0]
-                   == twist_conv_product(twist_conv_product((f1, f2), y), (f1, f2))[1]
-                   for y in mids):
-                witness = (f1, f2)
+            x = (f1, f2)
+            if all(s1 == s2 for s1, s2 in
+                   (twist_conv_product(twist_conv_product(x, y), x) for y in mids)):
+                witness = x
                 break
         if witness:
             break

@@ -2,18 +2,45 @@
 constructions (Boolean, truncated max-plus, max-plus integers, supertropical
 extensions, doubling)."""
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import AxiomReport, StructureError, UnsupportedStructureError
-from .pairs import SemiringPair
-
-DEFAULT_WINDOW = 50
+from .pairs import DEFAULT_WINDOW, SemiringPair
 
 
-class FiniteSemiring:
+class Carrier:
+    """Arithmetic every carrier derives from its ``add``, ``mul``, ``zero``
+    and ``one``."""
+
+    def sum(self, xs):
+        acc = self.zero
+        for x in xs:
+            acc = self.add(acc, x)
+        return acc
+
+    def prod(self, xs):
+        acc = self.one
+        for x in xs:
+            acc = self.mul(acc, x)
+        return acc
+
+    def power(self, x, k):
+        return self.prod(itertools.repeat(x, k))
+
+
+def twist_product(c, x, y):
+    """(a1,a1') * (a2,a2') = (a1 a2 + a1' a2', a1 a2' + a1' a2), over any
+    object ``c`` with ``add`` and ``mul``."""
+    a1, b1 = x
+    a2, b2 = y
+    return (c.add(c.mul(a1, a2), c.mul(b1, b2)),
+            c.add(c.mul(a1, b2), c.mul(b1, a2)))
+
+
+class FiniteSemiring(Carrier):
     """A finite carrier given by Cayley tables. Elements are indices into
     ``labels``; the constructor validates shape, not axioms."""
 
@@ -64,30 +91,12 @@ class FiniteSemiring:
         except ValueError:
             raise StructureError("unknown element label %r" % (label,)) from None
 
-    def sum(self, xs):
-        acc = self.zero
-        for x in xs:
-            acc = self.add(acc, x)
-        return acc
-
-    def prod(self, xs):
-        acc = self.one
-        for x in xs:
-            acc = self.mul(acc, x)
-        return acc
-
-    def power(self, x, k):
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
-
     def __repr__(self):
         return "FiniteSemiring(%s, n=%d)" % (self.name, self.n)
 
 
 @dataclass
-class SymbolicSemiring:
+class SymbolicSemiring(Carrier):
     """An infinite carrier presented by rules. ``sample_fn(window)`` yields a
     finite probe set; axiom checks on such carriers are windowed, never
     exhaustive."""
@@ -113,26 +122,33 @@ class SymbolicSemiring:
     def label(self, x):
         return self.label_fn(x)
 
-    def sum(self, xs):
-        acc = self.zero
-        for x in xs:
-            acc = self.add(acc, x)
-        return acc
-
-    def prod(self, xs):
-        acc = self.one
-        for x in xs:
-            acc = self.mul(acc, x)
-        return acc
-
-    def power(self, x, k):
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
-
     def __repr__(self):
         return "SymbolicSemiring(%s)" % self.name
+
+
+def tabulate(carrier, elements):
+    """The table semiring of a carrier closed on ``elements``, and the map
+    from each element to its index. Elements keep their order; labels, name,
+    zero and one come from the carrier."""
+    elements = list(elements)
+    pos = {e: i for i, e in enumerate(elements)}
+    add_table = [[pos[carrier.add(a, b)] for b in elements] for a in elements]
+    mul_table = [[pos[carrier.mul(a, b)] for b in elements] for a in elements]
+    table = FiniteSemiring(
+        [carrier.label(e) for e in elements], add_table, mul_table,
+        zero=pos[carrier.zero], one=pos[carrier.one], name=carrier.name,
+    )
+    return table, pos
+
+
+def _tabulated_pair(p):
+    """A symbolic pair whose carrier closes on its sample, as a table pair.
+    The sample of such a carrier is all of it, whatever the window."""
+    elements = p.carrier.sample()
+    table, pos = tabulate(p.carrier, elements)
+    a0 = frozenset(pos[e] for e in elements if p.in_a0(e))
+    tang = frozenset(pos[e] for e in elements if p.is_tangible(e))
+    return SemiringPair(table, a0, tang, name=table.name)
 
 
 def verify_semiring_axioms(s, window=DEFAULT_WINDOW, triples=2000, seed=0):
@@ -222,29 +238,6 @@ def max_opt(a, b):
     return max(a, b)
 
 
-def zmax_symbolic():
-    """Z_max: integers with -inf (None); addition is max, multiplication is +."""
-
-    def add(x, y):
-        return max_opt(x, y)
-
-    def mul(x, y):
-        return None if x is None or y is None else x + y
-
-    def sample(window):
-        return [None] + list(range(-window, window + 1))
-
-    return SymbolicSemiring(
-        name="zmax",
-        add_fn=add,
-        mul_fn=mul,
-        zero=None,
-        one=0,
-        sample_fn=sample,
-        label_fn=lambda x: "-inf" if x is None else str(x),
-    )
-
-
 def nat_plus_times():
     """The natural numbers with ordinary + and *."""
     return SymbolicSemiring(
@@ -256,42 +249,6 @@ def nat_plus_times():
         sample_fn=lambda window: list(range(window + 1)),
         label_fn=str,
     )
-
-
-def nonneg_rationals():
-    """Q>=0 with ordinary arithmetic (used for coset quotient examples)."""
-
-    def sample(window):
-        out = {Fraction(0)}
-        for p in range(1, min(window, 8) + 1):
-            for q in range(1, 5):
-                out.add(Fraction(p, q))
-        return sorted(out)
-
-    return SymbolicSemiring(
-        name="nonneg_rationals",
-        add_fn=lambda x, y: x + y,
-        mul_fn=lambda x, y: x * y,
-        zero=Fraction(0),
-        one=Fraction(1),
-        sample_fn=sample,
-        label_fn=str,
-    )
-
-
-def build_named(name, n=None):
-    """Build a named carrier. ``n`` is required for truncations."""
-    if name == "boolean":
-        return boolean_semiring()
-    if name == "nmax_trunc":
-        if n is None:
-            raise StructureError("nmax_trunc needs a truncation bound")
-        return nmax_trunc(n)
-    if name == "zmax_symbolic":
-        return zmax_symbolic()
-    if name == "nat_plus_times":
-        return nat_plus_times()
-    raise StructureError("unknown named semiring %r" % name)
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +334,6 @@ def supertropical_extension(t):
     carrier T u Tv u {0}, ghosts a+a = av, quasi-zeros are the ghosts with 0."""
     if not isinstance(t, OrderedMonoid):
         raise UnsupportedStructureError("supertropical extension needs an ordered monoid")
-    add = _st_add(t)
-    mul = _st_mul(t)
-    if t.elements is not None:
-        vals = list(t.elements)
-        elems = [ST_ZERO] + [("t", v) for v in vals] + [("g", v) for v in vals]
-        pos = {e: i for i, e in enumerate(elems)}
-        labels = [st_label(e) for e in elems]
-        add_table = [[pos[add(a, b)] for b in elems] for a in elems]
-        mul_table = [[pos[mul(a, b)] for b in elems] for a in elems]
-        carrier = FiniteSemiring(
-            labels, add_table, mul_table,
-            zero=0, one=pos[("t", t.unit)],
-            name="supertropical(%d)" % len(vals),
-        )
-        a0 = frozenset([0] + [pos[("g", v)] for v in vals])
-        tang = frozenset(pos[("t", v)] for v in vals)
-        return SemiringPair(carrier, a0, tang, name=carrier.name)
 
     def st_surpass(b1, b2):
         # b1 precedes b2 (witness y in A0) has a closed form here
@@ -404,9 +344,10 @@ def supertropical_extension(t):
         return b1 == ST_ZERO or not _gt(t, b1[1], b2[1])
 
     carrier = SymbolicSemiring(
-        name="supertropical_symbolic",
-        add_fn=add,
-        mul_fn=mul,
+        name=("supertropical_symbolic" if t.elements is None
+              else "supertropical(%d)" % len(t.elements)),
+        add_fn=_st_add(t),
+        mul_fn=_st_mul(t),
         zero=ST_ZERO,
         one=("t", t.unit),
         sample_fn=lambda window: [ST_ZERO]
@@ -414,7 +355,7 @@ def supertropical_extension(t):
         + [("g", v) for v in t.sample(window)],
         label_fn=st_label,
     )
-    return SemiringPair(
+    p = SemiringPair(
         carrier,
         a0=lambda x: x == ST_ZERO or x[0] == "g",
         tangibles=lambda x: x != ST_ZERO and x[0] == "t",
@@ -423,6 +364,7 @@ def supertropical_extension(t):
         negation_hint=lambda x: x,
         name=carrier.name,
     )
+    return p if t.elements is None else _tabulated_pair(p)
 
 
 def supertropical_integers():
@@ -443,48 +385,14 @@ def double(s):
     """Doubling of a carrier: A x A with componentwise addition and twist
     multiplication; the diagonal plays the quasi-zeros, the two axes (minus
     the origin, which admissibility excludes) are the tangibles."""
-    if s.finite:
-        pairs = list(itertools.product(s.elements(), repeat=2))
-        pos = {p: i for i, p in enumerate(pairs)}
-        labels = ["(%s,%s)" % (s.label(a), s.label(b)) for a, b in pairs]
-
-        def tadd(x, y):
-            return (s.add(x[0], y[0]), s.add(x[1], y[1]))
-
-        def tmul(x, y):
-            return (
-                s.add(s.mul(x[0], y[0]), s.mul(x[1], y[1])),
-                s.add(s.mul(x[0], y[1]), s.mul(x[1], y[0])),
-            )
-
-        add_table = [[pos[tadd(a, b)] for b in pairs] for a in pairs]
-        mul_table = [[pos[tmul(a, b)] for b in pairs] for a in pairs]
-        carrier = FiniteSemiring(
-            labels, add_table, mul_table,
-            zero=pos[(s.zero, s.zero)], one=pos[(s.one, s.zero)],
-            name="double(%s)" % s.name,
-        )
-        a0 = frozenset(pos[(a, a)] for a in s.elements())
-        tang = frozenset(
-            pos[p]
-            for p in pairs
-            if (p[0] == s.zero) != (p[1] == s.zero)
-        )
-        return SemiringPair(carrier, a0, tang, name=carrier.name)
 
     def tadd(x, y):
         return (s.add(x[0], y[0]), s.add(x[1], y[1]))
 
-    def tmul(x, y):
-        return (
-            s.add(s.mul(x[0], y[0]), s.mul(x[1], y[1])),
-            s.add(s.mul(x[0], y[1]), s.mul(x[1], y[0])),
-        )
-
     carrier = SymbolicSemiring(
         name="double(%s)" % s.name,
         add_fn=tadd,
-        mul_fn=tmul,
+        mul_fn=functools.partial(twist_product, s),
         zero=(s.zero, s.zero),
         one=(s.one, s.zero),
         sample_fn=lambda window: [
@@ -492,7 +400,7 @@ def double(s):
         ],
         label_fn=lambda x: "(%s,%s)" % (s.label(x[0]), s.label(x[1])),
     )
-    return SemiringPair(
+    p = SemiringPair(
         carrier,
         a0=lambda x: x[0] == x[1],
         tangibles=lambda x: (x[0] == s.zero) != (x[1] == s.zero),
@@ -503,3 +411,4 @@ def double(s):
         negation_hint=lambda x: (x[1], x[0]),
         name=carrier.name,
     )
+    return _tabulated_pair(p) if s.finite else p

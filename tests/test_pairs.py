@@ -1,7 +1,10 @@
 import pytest
 
-from pairalg.pairs import (SemiringPair, check_weakly_bipotent, derive_negation,
-                           is_shallow, property_n_status, verify_admissible,
+from pairalg.errors import NO, YES
+from pairalg.pairs import (SemiringPair, check_nondegenerate,
+                           check_reversibility, check_weakly_bipotent,
+                           compute_center, derive_negation, is_shallow,
+                           property_n_status, verify_admissible,
                            verify_surpassing)
 from pairalg.polynomials import build_polynomial_pair
 from pairalg.semirings import nmax_trunc
@@ -101,3 +104,38 @@ def test_admissibility_violation_reported():
     rep = verify_admissible(p)
     assert not rep.valid
     assert any(v.axiom == "a0-tangible-disjoint" for v in rep.violations)
+
+
+def test_reversibility_boolean(bool_pair):
+    # 0 precedes b + a only for b = a = 0, and then a precedes b
+    for a in bool_pair.elements():
+        assert check_reversibility(bool_pair, a).status == YES
+
+
+def test_reversibility_fails_at_ghost(st3):
+    # 0 + 1v = 1v lies in A0, so 0 precedes it, but 1v does not precede 0
+    c = st3.carrier
+    ghost, zero = c.index("1v"), c.index("0")
+    assert check_reversibility(st3, c.index("1")).status == YES
+    v = check_reversibility(st3, ghost)
+    assert v.status == NO and v.witness == zero
+
+
+def test_nondegenerate_boolean(bool_pair):
+    # the only tangible point is 1, where every tangible polynomial is 1
+    assert check_nondegenerate(bool_pair).status == YES
+
+
+def test_supertropical3_degenerate(st3):
+    # x + 1 at the only tangible point x = 1 is 1v, a quasi-zero
+    one = st3.carrier.index("1")
+    v = check_nondegenerate(st3)
+    assert v.status == NO
+    assert v.witness == [((0,), one), ((1,), one)]
+
+
+def test_center_of_commutative_pair(bool_pair, st3, double_bool):
+    for p in (bool_pair, st3, double_bool):
+        center = compute_center(p)
+        assert center["center"] == list(p.elements())
+        assert center["is_commutative"]

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -161,3 +162,22 @@ def test_cli_growth_matrix_units(capsys):
                        "--kmax", "6")
     assert code == 0
     assert report["profile"]["d"] == [1, 4, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["krasner", "nat-plus-times", "--subgroup", "1"],
+    ["radical", "nat-plus-times"],
+    ["ore-witness", "supertropical-naturals", "--a1", "x", "--a2", "1"],
+])
+def test_cli_symbolic_misuse_is_input_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_cli_json_leaves_stderr_in_place(capsys):
+    before = sys.stderr
+    code = main(["shallow", fx("supertropical3.pair"), "--json"])
+    captured = capsys.readouterr()
+    assert sys.stderr is before
+    assert code == 0 and json.loads(captured.out)["shallow"]
+    assert captured.err == ""

@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps pairalg functions by
+name and methods by the class body that defines them. A rename, or a method
+moved to a base class, must fail here and not only in a traced benchmark run."""
+
+import importlib.util
+import os
+
+import pairalg.cli  # noqa: F401  the tracer patches every pairalg module
+from pairalg import congruences, semirings
+
+TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_counts_and_uninstalls(capsys):
+    add = semirings.FiniteSemiring.__dict__["add"]
+    twist = congruences.twist_product
+    tracer = load_tracing().Tracer()
+    tracer.install(hot=True)
+    try:
+        assert pairalg.cli.main(["spectrum", "boolean"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["cli.main"] == 1
+    assert tracer.calls["semirings.ops"] > 0
+    assert tracer.calls["congruences.twist_product"] > 0
+    assert semirings.FiniteSemiring.__dict__["add"] is add
+    assert congruences.twist_product is twist
