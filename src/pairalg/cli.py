@@ -6,6 +6,7 @@ Exit codes: 0 computed, 1 property fails or nothing found, 2 input error,
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -464,9 +465,14 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    # in-process callers build the 18 subparsers once, not on every main()
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     quiet = (contextlib.redirect_stderr(io.StringIO())
              if getattr(args, "json", False) else contextlib.nullcontext())
     with quiet:

@@ -1,19 +1,29 @@
 """Congruences on semiring pairs: twist-product algebra, prime and
 semiprime classification, radicals, spectra, Krull dimension, quotients,
-and kernels."""
+and kernels.
+
+A congruence is stored as a class array over the carrier's element order:
+entry i is the position of the least element in the class of element i.
+Such an array is also a union-find forest of depth one, so closure starts
+from it directly (Freese, "Computing congruences efficiently", Algebra
+Universalis 59, 2008): each merge pushes the merged pair through the
+translations x -> x + c, x -> xc and x -> cx."""
 
 import itertools
+from functools import cached_property
 
 from .errors import (
-    NO, PreconditionError, StructureError, UnsupportedStructureError, Verdict,
-    YES,
+    BoundExhausted, NO, PreconditionError, StructureError,
+    UnsupportedStructureError, Verdict, YES,
 )
-from .semirings import SymbolicSemiring, tabulate, twist_product
+from .semirings import FiniteSemiring, SymbolicSemiring, tabulate, twist_product
 from .pairs import SemiringPair, verify_admissible
 
 # Marker returned when a closure or an intersection has no pair-congruence
 # to give back (the radical escapes into T x A0, or the prime set is empty).
 NO_PAIR_CONGRUENCE = "no pair-congruence"
+
+TANGIBLE, QUASI_ZERO = 1, 2
 
 
 class NoPairCongruence(StructureError):
@@ -24,151 +34,195 @@ class NoPairCongruence(StructureError):
         super().__init__("no pair-congruence contains seeds; closure hits %r in T x A0" % (witness,))
 
 
-def _meets_t_a0(p, relation):
-    for a, b in relation:
-        if p.is_tangible(a) and p.in_a0(b):
-            return (a, b)
-        if p.in_a0(a) and p.is_tangible(b):
-            return (a, b)
-    return None
+class _Index:
+    """A finite pair by positions: its elements in order, the position of
+    each, the translation tables (add, mul, and mul by columns unless mul is
+    commutative) and a kind per element, TANGIBLE | QUASI_ZERO bits."""
+
+    def __init__(self, p):
+        c = p.carrier
+        if isinstance(c, FiniteSemiring):
+            # elements are 0..n-1, so the range maps each to itself
+            self.elems = self.pos = c.elements()
+            add, mul = c.add_table, c.mul_table
+        else:
+            self.elems = list(c.elements())
+            table, self.pos = tabulate(c, self.elems)
+            add, mul = table.add_table, table.mul_table
+        cols = [list(col) for col in zip(*mul)]
+        self.tables = (add, mul) if cols == mul else (add, mul, cols)
+        self.kind = [(TANGIBLE if p.is_tangible(e) else 0)
+                     | (QUASI_ZERO if p.in_a0(e) else 0) for e in self.elems]
+
+    def escape(self, cls):
+        """Element pair (tangible, quasi-zero) inside one class, or None."""
+        tan, zer = {}, {}
+        for x, r in enumerate(cls):
+            if self.kind[x] & TANGIBLE:
+                tan.setdefault(r, x)
+            if self.kind[x] & QUASI_ZERO:
+                zer.setdefault(r, x)
+        for r, x in tan.items():
+            if r in zer:
+                return self.elems[x], self.elems[zer[r]]
+        return None
+
+
+def _close(ix, seeds, base=None, translate=True, stop=True, max_size=None):
+    """Union-find closure of a class array (the diagonal by default) and
+    position pairs. With ``translate`` each merge pushes the merged pair
+    through every translation, so the result is the least congruence above
+    both; without it, the least equivalence, which is the join when the
+    seeds are a congruence's pairs. With ``stop``, a merge that meets
+    T x A0 raises NoPairCongruence; past ``max_size`` pairs, BoundExhausted."""
+    n = len(ix.kind)
+    if base is None:
+        parent, mark, size = list(range(n)), list(ix.kind), [1] * n
+    else:
+        parent, mark, size = list(base), [0] * n, [0] * n
+        for x, r in enumerate(base):
+            mark[r] |= ix.kind[x]
+            size[r] += 1
+    pairs = sum(s * s for s in size)
+    tables = ix.tables if translate else ()
+    work = list(seeds)
+    while work:
+        a, b = work.pop()
+        # find both roots, halving paths; every parent[x] <= x
+        ra, rb = a, b
+        while parent[ra] != ra:
+            parent[ra] = parent[parent[ra]]
+            ra = parent[ra]
+        while parent[rb] != rb:
+            parent[rb] = parent[parent[rb]]
+            rb = parent[rb]
+        if ra == rb:
+            continue
+        if rb < ra:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        pairs += 2 * size[ra] * size[rb]
+        size[ra] += size[rb]
+        mark[ra] |= mark[rb]
+        if stop and mark[ra] == TANGIBLE | QUASI_ZERO:
+            raise NoPairCongruence(ix.escape(_flatten(parent)))
+        if max_size is not None and pairs > max_size:
+            raise BoundExhausted("closure exceeded max_size=%d pairs" % max_size)
+        for t in tables:
+            work.extend(zip(t[a], t[b]))
+    return _flatten(parent)
+
+
+def _flatten(parent):
+    """Class array of a union-find forest with every parent[x] <= x: in
+    increasing order each parent already points at its root, the least
+    element of the class."""
+    for x in range(len(parent)):
+        parent[x] = parent[parent[x]]
+    return tuple(parent)
+
+
+def _canonical(keys):
+    """Class array of the partition by equal keys."""
+    first = {}
+    return tuple(first.setdefault(k, i) for i, k in enumerate(keys))
+
+
+def _meet(c1, c2):
+    return _canonical(zip(c1, c2))
 
 
 class Congruence:
     """Equivalence relation on a finite carrier that is closed under the
-    componentwise operations. Stored extensionally as a frozenset of ordered
-    pairs. Pair-admissible means disjoint from T x A0."""
+    componentwise operations, stored as a class array (``cls``).
+    Pair-admissible means disjoint from T x A0."""
 
-    def __init__(self, pair, relation, check=True, require_admissible=True):
+    def __init__(self, pair, cls, require_admissible=True, index=None):
         self.pair = pair
-        self.relation = frozenset(relation)
-        witness = _meets_t_a0(pair, self.relation)
+        self.index = index or _Index(pair)
+        self.cls = tuple(cls)
+        witness = self.index.escape(self.cls)
         self.admissible = witness is None
         if require_admissible and not self.admissible:
             raise NoPairCongruence(witness)
-        if check:
-            self._verify()
 
-    def _verify(self):
-        c = self.pair.carrier
-        elems = list(c.elements())
-        rel = self.relation
-        for a in elems:
-            if (a, a) not in rel:
-                raise StructureError("not reflexive at %r" % (a,))
-        for a, b in rel:
-            if (b, a) not in rel:
-                raise StructureError("not symmetric at %r" % ((a, b),))
-        related = {}
-        for a, b in rel:
-            related.setdefault(a, set()).add(b)
-        for a, b in rel:
-            for d in related[b]:
-                if (a, d) not in rel:
-                    raise StructureError("not transitive at %r" % ((a, b, d),))
-        for a, b in rel:
-            for x in elems:
-                if (c.add(a, x), c.add(b, x)) not in rel:
-                    raise StructureError("not add-closed at %r" % ((a, b, x),))
-                if (c.mul(a, x), c.mul(b, x)) not in rel:
-                    raise StructureError("not right-mul-closed at %r" % ((a, b, x),))
-                if (c.mul(x, a), c.mul(x, b)) not in rel:
-                    raise StructureError("not left-mul-closed at %r" % ((a, b, x),))
-
-    def contains(self, a, b):
-        return (a, b) in self.relation
-
-    def __contains__(self, x):
-        return x in self.relation
-
-    def __eq__(self, other):
-        return isinstance(other, Congruence) and self.relation == other.relation
-
-    def __hash__(self):
-        return hash(self.relation)
-
-    def __le__(self, other):
-        return self.relation <= other.relation
-
-    def __lt__(self, other):
-        return self.relation < other.relation
-
-    def __and__(self, other):
-        return Congruence(self.pair, self.relation & other.relation, check=False)
-
-    def classes(self):
-        seen = set()
-        out = []
-        for a in self.pair.carrier.elements():
-            if a in seen:
-                continue
-            block = frozenset(b for x, b in self.relation if x == a)
-            seen |= block
-            out.append(block)
+    def _members(self):
+        """Positions in each class, keyed by the class's least position."""
+        out = {}
+        for x, r in enumerate(self.cls):
+            out.setdefault(r, []).append(x)
         return out
 
+    def _pairs(self):
+        members = self._members()
+        return [(a, b) for a, r in enumerate(self.cls) for b in members[r]]
+
+    @cached_property
+    def relation(self):
+        """The congruence as a frozenset of element pairs."""
+        return frozenset(self.sorted_pairs())
+
+    def contains(self, a, b):
+        return (a, b) in self
+
+    def __contains__(self, x):
+        a, b = x
+        pos = self.index.pos
+        return self.cls[pos[a]] == self.cls[pos[b]]
+
+    def __eq__(self, other):
+        return isinstance(other, Congruence) and self.cls == other.cls
+
+    def __hash__(self):
+        return hash(self.cls)
+
+    def __le__(self, other):
+        o = other.cls
+        return all(o[x] == o[r] for x, r in enumerate(self.cls))
+
+    def __lt__(self, other):
+        return self.cls != other.cls and self <= other
+
+    def __and__(self, other):
+        return Congruence(self.pair, _meet(self.cls, other.cls),
+                          index=self.index)
+
+    def classes(self):
+        e = self.index.elems
+        return [frozenset(e[x] for x in block)
+                for block in self._members().values()]
+
     def sorted_pairs(self):
-        idx = {e: i for i, e in enumerate(self.pair.carrier.elements())}
-        return sorted(self.relation, key=lambda ab: (idx[ab[0]], idx[ab[1]]))
+        e = self.index.elems
+        return [(e[a], e[b]) for a, b in self._pairs()]
 
     def as_json(self):
         lab = self.pair.carrier.label
         return [[lab(a), lab(b)] for a, b in self.sorted_pairs()]
 
     def __repr__(self):
-        off = sum(1 for a, b in self.relation if a != b)
-        return "Congruence(%d pairs, %d off-diagonal)" % (len(self.relation), off)
+        size = len(self._pairs())
+        return "Congruence(%d pairs, %d off-diagonal)" % (size, size - len(self.cls))
 
 
 def diagonal(p):
-    return Congruence(p, ((a, a) for a in p.carrier.elements()), check=False)
+    ix = _Index(p)
+    return Congruence(p, range(len(ix.kind)), index=ix)
 
 
 def generate_congruence(p, seeds, max_size=200000, require_admissible=True):
-    """Least congruence containing the seeds: worklist fixpoint under
-    symmetry, transitivity, and componentwise operations with all pairs
-    (the diagonal supplies translation and T-action). By default raises
-    NoPairCongruence as soon as the closure meets T x A0; with
-    require_admissible=False the carrier-level closure is returned and the
-    admissible flag records the outcome."""
+    """Least congruence containing the seeds, by union-find closure. By
+    default raises NoPairCongruence as soon as the closure meets T x A0;
+    with require_admissible=False the carrier-level closure is returned and
+    the admissible flag records the outcome. A closure past ``max_size``
+    pairs raises BoundExhausted."""
     if not p.carrier.finite:
         raise PreconditionError("closure needs a finite carrier; truncate first")
-    c = p.carrier
-    elems = list(c.elements())
-    rel = set((a, a) for a in elems)
-    work = []
-    for s in seeds:
-        s = tuple(s)
-        if s not in rel:
-            rel.add(s)
-            work.append(s)
-
-    def push(x):
-        if x not in rel:
-            if require_admissible and _meets_t_a0(p, [x]):
-                raise NoPairCongruence(x)
-            rel.add(x)
-            work.append(x)
-            if len(rel) > max_size:
-                raise PreconditionError("closure exceeded %d pairs" % max_size)
-
-    if require_admissible:
-        for s in list(work):
-            w = _meets_t_a0(p, [s])
-            if w:
-                raise NoPairCongruence(w)
-
-    while work:
-        a, b = work.pop()
-        push((b, a))
-        for x, y in list(rel):
-            if x == b:
-                push((a, y))
-            if y == a:
-                push((x, b))
-            push((c.add(a, x), c.add(b, y)))
-            push((c.mul(a, x), c.mul(b, y)))
-            push((c.mul(x, a), c.mul(y, b)))
-    return Congruence(p, rel, check=False, require_admissible=require_admissible)
+    ix = _Index(p)
+    pos = ix.pos
+    cls = _close(ix, [(pos[a], pos[b]) for a, b in seeds],
+                 stop=require_admissible, max_size=max_size)
+    return Congruence(p, cls, require_admissible, ix)
 
 
 def principal_relation(p, a):
@@ -213,7 +267,7 @@ def is_irreducible(cong, lattice):
     """No two strictly larger congruences in the lattice meet exactly in it."""
     above = [d for d in lattice if cong < d]
     for d1, d2 in itertools.combinations(above, 2):
-        if d1.relation & d2.relation == cong.relation:
+        if _meet(d1.cls, d2.cls) == cong.cls:
             return False
     return True
 
@@ -273,95 +327,57 @@ def intersection_of_primes_above(cong, lattice):
     primes = [d for d in lattice if cong <= d and is_prime(d)]
     if not primes:
         return NO_PAIR_CONGRUENCE
-    rel = primes[0].relation
+    cls = primes[0].cls
     for d in primes[1:]:
-        rel &= d.relation
-    return Congruence(cong.pair, rel, check=False)
+        cls = _meet(cls, d.cls)
+    return Congruence(cong.pair, cls, index=cong.index)
 
 
 # ---------------------------------------------------------------------------
 # Enumeration and spectrum
 
 
-def _bell(n):
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
-def _partitions(items):
-    # restricted growth strings
-    n = len(items)
-    if n == 0:
-        yield []
-        return
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        blocks = {}
-        for i, g in enumerate(rgs):
-            blocks.setdefault(g, []).append(items[i])
-        yield list(blocks.values())
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        m = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = m
-        maxes[i] = m
-
-
 def enumerate_congruences(p, max_elems=8):
-    """All pair-congruences on a finite carrier, found by filtering the
-    partitions of the element set. Sorted by relation size then canonical
-    pair order, so the diagonal comes first."""
+    """All pair-congruences on a finite carrier: the diagonal closed under
+    joins with the admissible principal congruences Cg(a, b). Admissible
+    congruences form a down-set, so a join that meets T x A0 is dropped at
+    once. Sorted by relation size then canonical pair order, so the
+    diagonal comes first. Carriers past ``max_elems`` raise BoundExhausted."""
     if not p.carrier.finite:
         raise PreconditionError("enumeration needs a finite carrier")
-    elems = list(p.carrier.elements())
-    if len(elems) > max_elems:
-        raise PreconditionError(
-            "carrier has %d elements; %d partitions is past the practical bound"
-            % (len(elems), _bell(len(elems))))
-    c = p.carrier
-    out = []
-    for blocks in _partitions(elems):
-        cls = {}
-        for i, block in enumerate(blocks):
-            for x in block:
-                cls[x] = i
-        ok = True
-        for block in blocks:
-            if not ok:
-                break
-            rep = block[0]
-            for b in block[1:]:
-                for x in elems:
-                    if (cls[c.add(rep, x)] != cls[c.add(b, x)]
-                            or cls[c.mul(rep, x)] != cls[c.mul(b, x)]
-                            or cls[c.mul(x, rep)] != cls[c.mul(x, b)]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok:
-            continue
-        rel = frozenset((a, b) for block in blocks
-                        for a in block for b in block)
-        if _meets_t_a0(p, rel):
-            continue
-        out.append(Congruence(p, rel, check=False))
-    idx = {e: i for i, e in enumerate(elems)}
-    out.sort(key=lambda cg: (len(cg.relation),
-                             [(idx[a], idx[b]) for a, b in cg.sorted_pairs()]))
-    return out
+    n = len(list(p.carrier.elements()))
+    if n > max_elems:
+        raise BoundExhausted(
+            "carrier has %d elements; congruence enumeration is capped at "
+            "max_elems=%d" % (n, max_elems))
+    ix = _Index(p)
+    if ix.escape(range(n)) is not None:
+        return []  # an element in both T and A0: even the diagonal escapes
+    principal = set()
+    for a, b in itertools.combinations(range(n), 2):
+        try:
+            principal.add(_close(ix, [(a, b)]))
+        except NoPairCongruence:
+            pass
+    joins = [[(x, r) for x, r in enumerate(g) if x != r] for g in principal]
+    found = {tuple(range(n))}
+    frontier = list(found)
+    while frontier:
+        base = frontier.pop()
+        for seeds in joins:
+            try:
+                cls = _close(ix, seeds, base, translate=False)
+            except NoPairCongruence:
+                continue
+            if cls not in found:
+                found.add(cls)
+                frontier.append(cls)
+
+    def order(cg):
+        pairs = cg._pairs()
+        return len(pairs), pairs
+
+    return sorted((Congruence(p, cls, index=ix) for cls in found), key=order)
 
 
 def _longest_chain(primes):
@@ -384,15 +400,17 @@ def prime_spectrum_krull(p, max_elems=8):
     primes, and vice versa."""
     lattice = enumerate_congruences(p, max_elems)
     primes = [c for c in lattice if is_prime(c)]
-    semiprimes = {c.relation for c in lattice if is_semiprime(c)}
-    from_primes = set()
-    for k in range(1, len(primes) + 1):
-        for subset in itertools.combinations(primes, k):
-            rel = subset[0].relation
-            for d in subset[1:]:
-                rel &= d.relation
-            if _meets_t_a0(p, rel) is None:
-                from_primes.add(rel)
+    semiprimes = {c.cls for c in lattice if is_semiprime(c)}
+    # intersections of nonempty sets of primes: the primes closed under meets
+    from_primes = {q.cls for q in primes}
+    frontier = list(from_primes)
+    while frontier:
+        cls = frontier.pop()
+        for q in primes:
+            m = _meet(cls, q.cls)
+            if m not in from_primes:
+                from_primes.add(m)
+                frontier.append(m)
     assert semiprimes == from_primes, "semiprime/prime-intersection mismatch"
     dim = _longest_chain(primes) if primes else None
     return {
@@ -435,14 +453,9 @@ def quotient_pair(p, cong):
     if not p.carrier.finite:
         raise PreconditionError("quotient needs a finite carrier")
     c = p.carrier
-    blocks = cong.classes()
-    elems = list(c.elements())
-    order = {e: i for i, e in enumerate(elems)}
-    blocks.sort(key=lambda b: min(order[x] for x in b))
-    cls = {}
-    for i, block in enumerate(blocks):
-        for x in block:
-            cls[x] = i
+    elems = cong.index.elems
+    blocks = [[elems[x] for x in block] for block in cong._members().values()]
+    cls = {x: i for i, block in enumerate(blocks) for x in block}
 
     def induced(op):
         def on_classes(i, j):
@@ -459,7 +472,7 @@ def quotient_pair(p, cong):
         zero=cls[c.zero],
         one=cls[c.one],
         sample_fn=lambda window: range(len(blocks)),
-        label_fn=lambda i: "[%s]" % c.label(min(blocks[i], key=order.get)),
+        label_fn=lambda i: "[%s]" % c.label(blocks[i][0]),
     )
     qcar, _ = tabulate(classes, range(len(blocks)))
     qa0 = frozenset(cls[x] for x in p.a0_elements())
@@ -497,11 +510,11 @@ def congruence_kernel(f, src, dst, check=True, check_a0=True):
     rather than raised."""
     if check:
         verify_pair_homomorphism(f, src, dst, check_a0=check_a0)
-    rel = frozenset((a, b)
-                    for a in src.carrier.elements()
-                    for b in src.carrier.elements()
-                    if f(a) == f(b))
-    return Congruence(src, rel, check=True, require_admissible=False)
+    ix = _Index(src)
+    cls = _canonical(f(a) for a in ix.elems)
+    if _close(ix, enumerate(cls), stop=False) != cls:
+        raise StructureError("kernel not closed under the operations")
+    return Congruence(src, cls, require_admissible=False, index=ix)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +536,8 @@ def levitzki_sequence(cong, start, max_steps=64):
     seen = {start}
     for _ in range(max_steps):
         s = seq[-1]
-        nxt = next((twist_product(c, twist_product(c, s, a), s)
-                    for a in cross
-                    if twist_product(c, twist_product(c, s, a), s) not in cong), None)
+        sandwiches = (twist_product(c, twist_product(c, s, a), s) for a in cross)
+        nxt = next((w for w in sandwiches if w not in cong), None)
         if nxt is None:
             return {"terminated": True, "witness": s, "sequence": seq}
         if nxt in seen:

@@ -229,20 +229,16 @@ def hyper_coset_quotient(h, g):
     multiplicative monoid."""
     g = _check_subgroup(h.mul, h.one, list(h.elements()), g)
 
-    def coset(x):
-        return frozenset(h.mul(x, a) for a in g)
-
     cosets = []
     seen = {}
+    cidx = {}
     for x in h.elements():
-        c = coset(x)
+        c = frozenset(h.mul(x, a) for a in g)
         if c not in seen:
             seen[c] = len(cosets)
             cosets.append(c)
+        cidx[x] = seen[c]
     reps = [min(c) for c in cosets]
-
-    def cidx(x):
-        return seen[coset(x)]
 
     hyperadd = []
     for c1 in cosets:
@@ -251,14 +247,14 @@ def hyper_coset_quotient(h, g):
             out = set()
             for x in c1:
                 for y in c2:
-                    out |= {cidx(z) for z in h.hadd(x, y)}
+                    out |= {cidx[z] for z in h.hadd(x, y)}
             row.append(frozenset(out))
         hyperadd.append(row)
-    mul_table = [[cidx(h.mul(reps[i], reps[j])) for j in range(len(cosets))] for i in range(len(cosets))]
+    mul_table = [[cidx[h.mul(reps[i], reps[j])] for j in range(len(cosets))] for i in range(len(cosets))]
     labels = ["[%s]" % h.label(rep) for rep in reps]
     out = SemiHyperring(
         labels, hyperadd, mul_table,
-        zero=cidx(h.zero), one=cidx(h.one),
+        zero=cidx[h.zero], one=cidx[h.one],
         name="%s/G" % h.name,
     )
     rep_check = verify_semihyperring(out)

@@ -1,0 +1,128 @@
+"""The congruence engine that union-find closure and join enumeration
+replaced, kept as a reference: the worklist closure, which rescans the
+whole relation for every pair it pops, and the filter over all set
+partitions. Both return relations, frozensets of element pairs; the
+lattice comes sorted as ``enumerate_congruences`` sorts it."""
+
+from pairalg.congruences import NoPairCongruence
+from pairalg.errors import PreconditionError
+
+
+def meets_t_a0(p, relation):
+    for a, b in relation:
+        if p.is_tangible(a) and p.in_a0(b):
+            return (a, b)
+        if p.in_a0(a) and p.is_tangible(b):
+            return (a, b)
+    return None
+
+
+def worklist_closure(p, seeds, max_size=200000, require_admissible=True):
+    """Least congruence containing the seeds: worklist fixpoint under
+    symmetry, transitivity, and componentwise operations with all pairs
+    (the diagonal supplies translation and T-action)."""
+    c = p.carrier
+    elems = list(c.elements())
+    rel = set((a, a) for a in elems)
+    work = []
+    for s in seeds:
+        s = tuple(s)
+        if s not in rel:
+            rel.add(s)
+            work.append(s)
+
+    def push(x):
+        if x not in rel:
+            if require_admissible and meets_t_a0(p, [x]):
+                raise NoPairCongruence(x)
+            rel.add(x)
+            work.append(x)
+            if len(rel) > max_size:
+                raise PreconditionError("closure exceeded %d pairs" % max_size)
+
+    if require_admissible:
+        for s in list(work):
+            w = meets_t_a0(p, [s])
+            if w:
+                raise NoPairCongruence(w)
+
+    while work:
+        a, b = work.pop()
+        push((b, a))
+        for x, y in list(rel):
+            if x == b:
+                push((a, y))
+            if y == a:
+                push((x, b))
+            push((c.add(a, x), c.add(b, y)))
+            push((c.mul(a, x), c.mul(b, y)))
+            push((c.mul(x, a), c.mul(y, b)))
+    return frozenset(rel)
+
+
+def partitions(items):
+    # restricted growth strings
+    n = len(items)
+    if n == 0:
+        yield []
+        return
+    rgs = [0] * n
+    maxes = [0] * n
+    while True:
+        blocks = {}
+        for i, g in enumerate(rgs):
+            blocks.setdefault(g, []).append(items[i])
+        yield list(blocks.values())
+        i = n - 1
+        while i > 0 and rgs[i] == maxes[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        m = max(maxes[i - 1], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            maxes[j] = m
+        maxes[i] = m
+
+
+def partition_lattice(p):
+    """All pair-congruences, found by filtering the partitions of the
+    element set."""
+    elems = list(p.carrier.elements())
+    c = p.carrier
+    out = []
+    for blocks in partitions(elems):
+        cls = {}
+        for i, block in enumerate(blocks):
+            for x in block:
+                cls[x] = i
+        ok = True
+        for block in blocks:
+            if not ok:
+                break
+            rep = block[0]
+            for b in block[1:]:
+                for x in elems:
+                    if (cls[c.add(rep, x)] != cls[c.add(b, x)]
+                            or cls[c.mul(rep, x)] != cls[c.mul(b, x)]
+                            or cls[c.mul(x, rep)] != cls[c.mul(x, b)]):
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if not ok:
+            continue
+        rel = frozenset((a, b) for block in blocks
+                        for a in block for b in block)
+        if meets_t_a0(p, rel):
+            continue
+        out.append(rel)
+    return in_lattice_order(p, out)
+
+
+def in_lattice_order(p, relations):
+    """Relations sorted by size, then by their pairs in element order."""
+    idx = {e: i for i, e in enumerate(p.carrier.elements())}
+    return sorted(relations, key=lambda rel: (
+        len(rel), sorted((idx[a], idx[b]) for a, b in rel)))

@@ -1,0 +1,145 @@
+"""The union-find congruence engine against the worklist closure and the
+partition filter it replaced (congruence_reference.py): same lattices in
+the same order, same closures, and escape witnesses inside the closure."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import congruence_reference as ref
+from pairalg.congruences import (NoPairCongruence, enumerate_congruences,
+                                 generate_congruence, quotient_pair)
+from pairalg.pairs import SemiringPair
+from pairalg.semirings import (FiniteSemiring, OrderedMonoid, boolean_semiring,
+                               double, nmax_trunc, supertropical_extension)
+
+
+def table_pair(name, labels, add, mul, zero, one, a0, tangibles):
+    n = len(labels)
+    s = FiniteSemiring(labels, [[add(i, j) for j in range(n)] for i in range(n)],
+                       [[mul(i, j) for j in range(n)] for i in range(n)],
+                       zero, one, name=name)
+    return SemiringPair(s, a0, tangibles, name=name)
+
+
+def nmax_pair(n):
+    s = nmax_trunc(n)
+    return SemiringPair(s, [s.zero], list(range(1, s.n)), name=s.name)
+
+
+def max_min_pair(k):
+    return table_pair("maxmin(%d)" % k, [str(i) for i in range(k)], max, min,
+                      0, k - 1, [0], list(range(1, k)))
+
+
+def fq_pair(q):
+    return table_pair("F%d" % q, [str(i) for i in range(q)],
+                      lambda i, j: (i + j) % q, lambda i, j: i * j % q,
+                      0, 1, [0], list(range(1, q)))
+
+
+def chain_pair(k):
+    """Supertropical pair over the truncated chain {1, ..., k}."""
+    return supertropical_extension(OrderedMonoid(
+        op=lambda a, b: min(a + b - 1, k), unit=1, elements=list(range(1, k + 1))))
+
+
+def permuted(p, perm):
+    """The same pair with element i moved to position perm.index(i)."""
+    c = p.carrier
+    new = {old: i for i, old in enumerate(perm)}
+    s = FiniteSemiring([c.labels[x] for x in perm],
+                       [[new[c.add(x, y)] for y in perm] for x in perm],
+                       [[new[c.mul(x, y)] for y in perm] for x in perm],
+                       new[c.zero], new[c.one], name=c.name)
+    return SemiringPair(s, [new[x] for x in p.a0_elements()],
+                        [new[x] for x in p.tangible_elements()], name=p.name)
+
+
+BASES = ([nmax_pair(n) for n in range(1, 9)]
+         + [max_min_pair(k) for k in range(2, 9)]
+         + [fq_pair(q) for q in (2, 3, 5, 7)]
+         + [double(boolean_semiring())]
+         + [chain_pair(k) for k in (1, 2, 3)])
+
+
+def orders(p):
+    """The pair in its own element order and in two others, with the map
+    from its elements to theirs."""
+    n = p.carrier.n
+    shuffled = list(range(n))
+    random.Random(n).shuffle(shuffled)
+    for perm in (list(range(n)), shuffled, list(reversed(range(n)))):
+        yield permuted(p, perm), {old: i for i, old in enumerate(perm)}
+
+
+def image(rel, new):
+    return frozenset((new[a], new[b]) for a, b in rel)
+
+
+def check_closure(p, seeds, want):
+    """Closure of the seeds against the worklist closure ``want``, in both
+    admissibility modes."""
+    loose = generate_congruence(p, seeds, require_admissible=False)
+    escapes = ref.meets_t_a0(p, want) is not None
+    assert loose.relation == want
+    assert loose.admissible == (not escapes)
+    if not escapes:
+        assert generate_congruence(p, seeds).relation == want
+        return
+    with pytest.raises(NoPairCongruence) as exc:
+        generate_congruence(p, seeds)
+    t, z = exc.value.witness
+    assert p.is_tangible(t) and p.in_a0(z) and (t, z) in want
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda p: p.name)
+def test_lattice_and_closures_match_reference(base):
+    elems = list(base.carrier.elements())
+    lattice = (ref.partition_lattice(base) if len(elems) <= 8 else None)
+    seeds = list(itertools.combinations(elems, 2))
+    closures = [ref.worklist_closure(base, [s], require_admissible=False)
+                for s in seeds]
+    for p, new in orders(base):
+        if lattice is not None:
+            want = ref.in_lattice_order(p, [image(rel, new) for rel in lattice])
+            assert [c.relation for c in enumerate_congruences(p)] == want
+        for (a, b), want in zip(seeds, closures):
+            check_closure(p, [(new[a], new[b])], image(want, new))
+
+
+@st.composite
+def small_pairs(draw):
+    """Truncations, supertropical chains, doubles, and quotients of these
+    by the closure of a random seed pair."""
+    kind = draw(st.sampled_from(["nmax", "chain", "double", "maxmin"]))
+    if kind == "nmax":
+        p = nmax_pair(draw(st.integers(1, 6)))
+    elif kind == "chain":
+        p = chain_pair(draw(st.integers(1, 3)))
+    elif kind == "maxmin":
+        p = max_min_pair(draw(st.integers(2, 8)))
+    else:
+        p = double(nmax_trunc(1) if draw(st.booleans()) else boolean_semiring())
+    if draw(st.booleans()):
+        elems = list(p.carrier.elements())
+        seed = (draw(st.sampled_from(elems)), draw(st.sampled_from(elems)))
+        p = quotient_pair(p, generate_congruence(p, [seed],
+                                                 require_admissible=False))
+    return p
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=small_pairs(), data=st.data())
+def test_random_pairs_match_reference(p, data):
+    elems = list(p.carrier.elements())
+    if len(elems) <= 8:
+        assert ([c.relation for c in enumerate_congruences(p)]
+                == ref.partition_lattice(p))
+    seeds = data.draw(st.lists(st.tuples(st.sampled_from(elems),
+                                         st.sampled_from(elems)),
+                               min_size=1, max_size=3))
+    check_closure(p, seeds, ref.worklist_closure(p, seeds,
+                                                 require_admissible=False))

@@ -11,6 +11,7 @@ from pairalg.congruences import (NO_PAIR_CONGRUENCE, NoPairCongruence,
                                  prime_spectrum_krull, principal_relation,
                                  quotient_pair, radical, twist_product,
                                  verify_pair_homomorphism)
+from pairalg.errors import BoundExhausted
 from pairalg.pairs import SemiringPair, verify_admissible
 from pairalg.semirings import boolean_semiring, nmax_trunc
 
@@ -140,3 +141,13 @@ def test_generated_chain_probe_collapses_on_truncation():
     congs, verdicts = generated_chain_probe(p, seeds)
     assert len(congs) == 2
     assert congs[0] <= congs[1]
+
+
+def test_search_caps_raise_bound_exhausted():
+    n8 = nmax_trunc(8)
+    p = SemiringPair(n8, a0=[n8.zero], tangibles=list(range(1, n8.n)),
+                     name="nmax8-pair")
+    with pytest.raises(BoundExhausted, match="max_elems=8"):
+        enumerate_congruences(p)
+    with pytest.raises(BoundExhausted, match="max_size=50"):
+        generate_congruence(p, [(n8.index("2"), n8.index("8"))], max_size=50)

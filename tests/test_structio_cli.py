@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from pairalg import cli
 from pairalg.cli import main
+from pairalg.pairs import SemiringPair
+from pairalg.semirings import nmax_trunc
 from pairalg.structio import (ParseError, load_structures, parse_structures,
                               serialize_structures)
 
@@ -181,3 +184,33 @@ def test_cli_json_leaves_stderr_in_place(capsys):
     assert sys.stderr is before
     assert code == 0 and json.loads(captured.out)["shallow"]
     assert captured.err == ""
+
+
+def test_cli_parser_is_built_once_and_reused(capsys, monkeypatch):
+    argvs = [["spectrum", fx("boolean.pair")],
+             ["hilbert", "--free-letters", "2", "--kmax", "3"]]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr().out))
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(True)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    reused = [(main(argv), capsys.readouterr().out) for argv in argvs + argvs]
+    assert reused == fresh + fresh
+    assert len(built) == 1
+
+
+def test_cli_enumeration_cap_exits_three(tmp_path, capsys):
+    s = nmax_trunc(8)  # 10 elements, past the 8-element enumeration cap
+    path = tmp_path / "nmax8.pair"
+    path.write_text(serialize_structures(
+        {"semiring": s, "pair": SemiringPair(s, [s.zero], range(1, s.n))}))
+    assert main(["spectrum", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("bound exhausted: ")
