@@ -10,7 +10,8 @@ Universalis 59, 2008): each merge pushes the merged pair through the
 translations x -> x + c, x -> xc and x -> cx."""
 
 import itertools
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import itemgetter
 
 from .errors import (
     BoundExhausted, NO, PreconditionError, StructureError,
@@ -237,39 +238,69 @@ def principal_relation(p, a):
 # Classification
 
 
-def is_semiprime(cong):
-    """Element criterion: x * (AxA) * x inside the congruence forces x in."""
+def _inside(x):
+    return x[0] == x[1]
+
+
+def _pairs_on_quotient(cong):
+    """The carrier modulo the congruence, as a FiniteSemiring on the class
+    numbers 0..k-1, and its element pairs (a, b) with a <= b. A pair lies in
+    the congruence iff its entries have equal images, and as the congruence
+    respects + and x, the image of a twist product is the twist product of
+    the images. Swapping the entries of either factor swaps those of a twist
+    product, and a swap keeps a pair inside or outside, so the pairs with
+    a <= b stand for all of them."""
+    cls, ix = cong.cls, cong.index
+    number = {r: i for i, r in enumerate(dict.fromkeys(cls))}
+    roots = list(number)
+
+    def table(t):
+        return [[number[cls[t[a][b]]] for b in roots] for a in roots]
+
+    add, mul = ix.tables[:2]
     c = cong.pair.carrier
-    elems = list(c.elements())
-    cross = [(a, b) for a in elems for b in elems]
-    for x in cross:
-        if x in cong:
+    q = FiniteSemiring(range(len(roots)), table(add), table(mul),
+                       number[cls[ix.pos[c.zero]]], number[cls[ix.pos[c.one]]])
+    return q, list(itertools.combinations_with_replacement(q.elements(), 2))
+
+
+def is_semiprime(cong):
+    """Element criterion: x * (AxA) * x inside the congruence forces x in.
+    Run on the quotient, where the congruence is the diagonal."""
+    q, pairs = _pairs_on_quotient(cong)
+    for x in pairs:
+        if _inside(x):
             continue
-        if all(twist_product(c, twist_product(c, x, y), x) in cong for y in cross):
+        if all(_inside(twist_product(q, twist_product(q, x, y), x)) for y in pairs):
             return False
     return True
 
 
 def is_prime(cong):
-    """Two-element criterion: x * (AxA) * y inside forces x in or y in."""
-    c = cong.pair.carrier
-    elems = list(c.elements())
-    cross = [(a, b) for a in elems for b in elems]
-    outside = [x for x in cross if x not in cong]
+    """Two-element criterion: x * (AxA) * y inside forces x in or y in.
+    Run on the quotient, where the congruence is the diagonal. A product
+    that puts one y outside often does so for the next, so it moves to the
+    front of the list."""
+    q, pairs = _pairs_on_quotient(cong)
+    outside = [x for x in pairs if not _inside(x)]
     for x in outside:
+        left = list({twist_product(q, x, z) for z in pairs})
         for y in outside:
-            if all(twist_product(c, twist_product(c, x, z), y) in cong for z in cross):
+            for i, w in enumerate(left):
+                if not _inside(twist_product(q, w, y)):
+                    left[0], left[i] = w, left[0]
+                    break
+            else:
                 return False
     return True
 
 
 def is_irreducible(cong, lattice):
-    """No two strictly larger congruences in the lattice meet exactly in it."""
-    above = [d for d in lattice if cong < d]
-    for d1, d2 in itertools.combinations(above, 2):
-        if _meet(d1.cls, d2.cls) == cong.cls:
-            return False
-    return True
+    """No two strictly larger congruences in the lattice meet exactly in it.
+    In a finite lattice closed under meets that holds iff nothing is above
+    it or the meet of everything above differs from it."""
+    above = [d.cls for d in lattice if cong < d]
+    return not above or reduce(_meet, above) != cong.cls
 
 
 def classify_congruence(cong, lattice=None):
@@ -337,12 +368,44 @@ def intersection_of_primes_above(cong, lattice):
 # Enumeration and spectrum
 
 
-def enumerate_congruences(p, max_elems=8):
+def _principal_congruences(ix):
+    """The admissible principal congruences Cg(a, b), each with one
+    generating pair. Cg(ta, tb) lies in Cg(a, b) for every translation t, so
+    each closure starts from the largest such Cg found so far, and one that
+    meets T x A0 shows that Cg(a, b) does too."""
+    n = len(ix.kind)
+    unknown = (n + 1, None)  # more classes than any Cg, so min() passes it over
+    found = {}  # (a, b), a < b -> (class count, class array), None if it escapes
+    for b in reversed(range(n)):
+        for a in reversed(range(b)):
+            below = [found.get((u, v) if u < v else (v, u), unknown)
+                     for t in ix.tables for u, v in zip(t[a], t[b])]
+            if None in below:
+                found[a, b] = None
+                continue
+            base = min(below, key=itemgetter(0))[1]
+            try:
+                cls = _close(ix, [(a, b)], base)
+            except NoPairCongruence:
+                found[a, b] = None
+                continue
+            found[a, b] = (len(set(cls)), cls)
+    principal = {}
+    for pair, g in found.items():
+        if g is not None:
+            principal.setdefault(g[1], pair)
+    return principal
+
+
+def enumerate_congruences(p, max_elems=64, max_congruences=4140):
     """All pair-congruences on a finite carrier: the diagonal closed under
-    joins with the admissible principal congruences Cg(a, b). Admissible
+    joins with the admissible principal congruences Cg(a, b); a join with
+    Cg(a, b) is skipped when the base already relates a and b. Admissible
     congruences form a down-set, so a join that meets T x A0 is dropped at
     once. Sorted by relation size then canonical pair order, so the
-    diagonal comes first. Carriers past ``max_elems`` raise BoundExhausted."""
+    diagonal comes first. Carriers past ``max_elems`` and lattices past
+    ``max_congruences`` (Bell(8) = 4140, the most an 8-element carrier can
+    have) raise BoundExhausted."""
     if not p.carrier.finite:
         raise PreconditionError("enumeration needs a finite carrier")
     n = len(list(p.carrier.elements()))
@@ -353,18 +416,15 @@ def enumerate_congruences(p, max_elems=8):
     ix = _Index(p)
     if ix.escape(range(n)) is not None:
         return []  # an element in both T and A0: even the diagonal escapes
-    principal = set()
-    for a, b in itertools.combinations(range(n), 2):
-        try:
-            principal.add(_close(ix, [(a, b)]))
-        except NoPairCongruence:
-            pass
-    joins = [[(x, r) for x, r in enumerate(g) if x != r] for g in principal]
+    joins = [(a, b, [(x, r) for x, r in enumerate(g) if x != r])
+             for g, (a, b) in _principal_congruences(ix).items()]
     found = {tuple(range(n))}
     frontier = list(found)
     while frontier:
         base = frontier.pop()
-        for seeds in joins:
+        for a, b, seeds in joins:
+            if base[a] == base[b]:
+                continue
             try:
                 cls = _close(ix, seeds, base, translate=False)
             except NoPairCongruence:
@@ -372,6 +432,10 @@ def enumerate_congruences(p, max_elems=8):
             if cls not in found:
                 found.add(cls)
                 frontier.append(cls)
+                if len(found) > max_congruences:
+                    raise BoundExhausted(
+                        "congruence lattice has more than max_congruences=%d "
+                        "elements" % max_congruences)
 
     def order(cg):
         pairs = cg._pairs()
@@ -394,7 +458,7 @@ def _longest_chain(primes):
     return max((depth(i) for i in range(len(primes))), default=0) - 1
 
 
-def prime_spectrum_krull(p, max_elems=8):
+def prime_spectrum_krull(p, max_elems=64):
     """Prime congruences and Krull dimension of a finite pair. Also checks
     that every semiprime congruence is an intersection of a nonempty set of
     primes, and vice versa."""

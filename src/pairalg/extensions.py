@@ -4,7 +4,8 @@ All searches are bounded and report three-valued verdicts."""
 
 import itertools
 
-from .errors import (AxiomReport, NO, PreconditionError, UNKNOWN, Verdict, YES)
+from .errors import (AxiomReport, BoundExhausted, NO, PreconditionError, UNKNOWN,
+                     Verdict, YES)
 from .polynomials import Polynomial, poly_eval
 
 
@@ -178,10 +179,12 @@ def _permutations_with_sign(n):
 
 def negated_determinant(p, matrix, negation):
     """Permutation expansion with (-)1 to the sign of the permutation:
-    odd permutations contribute their product negated."""
+    odd permutations contribute their product negated. Matrices past 4x4
+    raise BoundExhausted."""
     n = len(matrix)
     if n > 4:
-        raise PreconditionError("permutation expansion capped at 4x4")
+        raise BoundExhausted("matrix is %dx%d; permutation expansion is capped "
+                             "at 4x4" % (n, n))
     if any(len(row) != n for row in matrix):
         raise PreconditionError("matrix is not square")
     c = p.carrier

@@ -6,7 +6,8 @@ import itertools
 import math
 from statistics import linear_regression
 
-from .errors import (AxiomReport, NO, PreconditionError, UNKNOWN, Verdict, YES)
+from .errors import (AxiomReport, BoundExhausted, NO, PreconditionError, UNKNOWN,
+                     Verdict, YES)
 
 
 class ModulePair:
@@ -173,8 +174,8 @@ def rank(mp, gens_from=None, max_size=6, max_module=16):
     """[M : N]: minimal number of extra generators whose span together with
     N recovers all of M. Exhaustive by increasing cardinality."""
     if len(mp.elements) > max_module:
-        raise PreconditionError("module beyond rank search cap (%d elements)"
-                                % len(mp.elements))
+        raise BoundExhausted("module has %d elements; rank search is capped at "
+                             "max_module=%d" % (len(mp.elements), max_module))
     target = set(mp.elements)
     pool = list(gens_from) if gens_from is not None else mp.elements
     if mp.span([]) == target:
@@ -183,7 +184,7 @@ def rank(mp, gens_from=None, max_size=6, max_module=16):
         for combo in itertools.combinations(pool, k):
             if mp.span(combo) == target:
                 return k
-    raise PreconditionError("no generating set of size <= %d found" % max_size)
+    raise BoundExhausted("no generating set of size <= max_size=%d" % max_size)
 
 
 def module_morphisms(mp_src, mp_dst):

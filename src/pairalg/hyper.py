@@ -3,7 +3,7 @@ pairs, and coset quotients in the style of Krasner."""
 
 import itertools
 
-from .errors import AxiomReport, PreconditionError, StructureError
+from .errors import AxiomReport, BoundExhausted, PreconditionError, StructureError
 from .pairs import SemiringPair
 from .semirings import Carrier
 
@@ -269,7 +269,8 @@ def find_isomorphism(h1, h2, max_size=6):
     if h1.n != h2.n:
         return None
     if h1.n > max_size:
-        raise PreconditionError("isomorphism search capped at %d elements" % max_size)
+        raise BoundExhausted("hyperrings have %d elements; isomorphism search is "
+                             "capped at max_size=%d" % (h1.n, max_size))
     for perm in itertools.permutations(range(h2.n)):
         if perm[h1.zero] != h2.zero or perm[h1.one] != h2.one:
             continue

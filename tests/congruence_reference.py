@@ -1,11 +1,16 @@
-"""The congruence engine that union-find closure and join enumeration
-replaced, kept as a reference: the worklist closure, which rescans the
-whole relation for every pair it pops, and the filter over all set
-partitions. Both return relations, frozensets of element pairs; the
-lattice comes sorted as ``enumerate_congruences`` sorts it."""
+"""The congruence engine that union-find closure, join enumeration and
+classification on the quotient replaced, kept as a reference: the worklist
+closure, which rescans the whole relation for every pair it pops, and the
+filter over all set partitions, both returning relations (frozensets of
+element pairs; the lattice comes sorted as ``enumerate_congruences`` sorts
+it); the prime and semiprime criteria over the whole carrier; and the
+pairwise meet test for irreducibility."""
+
+import itertools
 
 from pairalg.congruences import NoPairCongruence
 from pairalg.errors import PreconditionError
+from pairalg.semirings import twist_product
 
 
 def meets_t_a0(p, relation):
@@ -126,3 +131,38 @@ def in_lattice_order(p, relations):
     idx = {e: i for i, e in enumerate(p.carrier.elements())}
     return sorted(relations, key=lambda rel: (
         len(rel), sorted((idx[a], idx[b]) for a, b in rel)))
+
+
+def is_semiprime(cong):
+    """Element criterion: x * (AxA) * x inside the congruence forces x in."""
+    c = cong.pair.carrier
+    elems = list(c.elements())
+    cross = [(a, b) for a in elems for b in elems]
+    for x in cross:
+        if x in cong:
+            continue
+        if all(twist_product(c, twist_product(c, x, y), x) in cong for y in cross):
+            return False
+    return True
+
+
+def is_prime(cong):
+    """Two-element criterion: x * (AxA) * y inside forces x in or y in."""
+    c = cong.pair.carrier
+    elems = list(c.elements())
+    cross = [(a, b) for a in elems for b in elems]
+    outside = [x for x in cross if x not in cong]
+    for x in outside:
+        for y in outside:
+            if all(twist_product(c, twist_product(c, x, z), y) in cong for z in cross):
+                return False
+    return True
+
+
+def is_irreducible(cong, lattice):
+    """No two strictly larger congruences in the lattice meet exactly in it."""
+    above = [d for d in lattice if cong < d]
+    for d1, d2 in itertools.combinations(above, 2):
+        if d1 & d2 == cong:
+            return False
+    return True

@@ -1,6 +1,8 @@
 """The union-find congruence engine against the worklist closure and the
 partition filter it replaced (congruence_reference.py): same lattices in
-the same order, same closures, and escape witnesses inside the closure."""
+the same order, same closures, and escape witnesses inside the closure.
+Classification on the quotient gives the verdicts of the criteria run on
+the whole carrier, and of the pairwise irreducibility test."""
 
 import itertools
 import random
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import congruence_reference as ref
 from pairalg.congruences import (NoPairCongruence, enumerate_congruences,
-                                 generate_congruence, quotient_pair)
+                                 generate_congruence, is_irreducible, is_prime,
+                                 is_semiprime, quotient_pair)
 from pairalg.pairs import SemiringPair
 from pairalg.semirings import (FiniteSemiring, OrderedMonoid, boolean_semiring,
                                double, nmax_trunc, supertropical_extension)
@@ -110,6 +113,21 @@ def test_lattice_and_closures_match_reference(base):
             check_closure(p, [(new[a], new[b])], image(want, new))
 
 
+def check_classification(lattice):
+    for c in lattice:
+        assert is_prime(c) == ref.is_prime(c)
+        assert is_semiprime(c) == ref.is_semiprime(c)
+        # in reverse order too: the answer must not depend on the order
+        want = ref.is_irreducible(c, lattice)
+        assert is_irreducible(c, lattice) == is_irreducible(c, lattice[::-1]) == want
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda p: p.name)
+def test_classification_matches_reference(base):
+    for p, _ in orders(base):
+        check_classification(enumerate_congruences(p))
+
+
 @st.composite
 def small_pairs(draw):
     """Truncations, supertropical chains, doubles, and quotients of these
@@ -135,9 +153,10 @@ def small_pairs(draw):
 @given(p=small_pairs(), data=st.data())
 def test_random_pairs_match_reference(p, data):
     elems = list(p.carrier.elements())
+    lattice = enumerate_congruences(p)
     if len(elems) <= 8:
-        assert ([c.relation for c in enumerate_congruences(p)]
-                == ref.partition_lattice(p))
+        assert [c.relation for c in lattice] == ref.partition_lattice(p)
+    check_classification(lattice)
     seeds = data.draw(st.lists(st.tuples(st.sampled_from(elems),
                                          st.sampled_from(elems)),
                                min_size=1, max_size=3))

@@ -13,7 +13,7 @@ from pairalg.congruences import (NO_PAIR_CONGRUENCE, NoPairCongruence,
                                  verify_pair_homomorphism)
 from pairalg.errors import BoundExhausted
 from pairalg.pairs import SemiringPair, verify_admissible
-from pairalg.semirings import boolean_semiring, nmax_trunc
+from pairalg.semirings import FiniteSemiring, boolean_semiring, nmax_trunc
 
 
 def test_twist_product_formula(bool_pair):
@@ -144,10 +144,19 @@ def test_generated_chain_probe_collapses_on_truncation():
 
 
 def test_search_caps_raise_bound_exhausted():
-    n8 = nmax_trunc(8)
-    p = SemiringPair(n8, a0=[n8.zero], tangibles=list(range(1, n8.n)),
-                     name="nmax8-pair")
-    with pytest.raises(BoundExhausted, match="max_elems=8"):
+    n64 = nmax_trunc(64)  # 66 elements, past the 64-element enumeration cap
+    p = SemiringPair(n64, a0=[n64.zero], tangibles=list(range(1, n64.n)),
+                     name="nmax64-pair")
+    with pytest.raises(BoundExhausted, match="max_elems=64"):
         enumerate_congruences(p)
     with pytest.raises(BoundExhausted, match="max_size=50"):
-        generate_congruence(p, [(n8.index("2"), n8.index("8"))], max_size=50)
+        generate_congruence(p, [(n64.index("2"), n64.index("8"))], max_size=50)
+    # the max-min chain of 6 elements has 16 pair-congruences
+    chain = FiniteSemiring([str(i) for i in range(6)],
+                           [[max(i, j) for j in range(6)] for i in range(6)],
+                           [[min(i, j) for j in range(6)] for i in range(6)],
+                           zero=0, one=5, name="maxmin(6)")
+    maxmin = SemiringPair(chain, a0=[0], tangibles=range(1, 6))
+    assert len(enumerate_congruences(maxmin, max_congruences=16)) == 16
+    with pytest.raises(BoundExhausted, match="max_congruences=15"):
+        enumerate_congruences(maxmin, max_congruences=15)

@@ -1,6 +1,9 @@
 import itertools
 import random
 
+import pytest
+
+from pairalg.errors import BoundExhausted
 from pairalg.extensions import (ExtensionPair, det_chain_report, is_algebraic,
                                 is_congruence_algebraic, is_integral, mat_mul,
                                 mat_vec, negated_adjoint, negated_determinant,
@@ -98,3 +101,11 @@ def test_adjoint_shape(double_bool):
     m = [[c.one, c.zero], [c.zero, c.one]]
     adj = negated_adjoint(double_bool, m, neg)
     assert adj == m
+
+
+def test_determinant_cap_raises_bound_exhausted(double_bool):
+    neg = derive_negation(double_bool)
+    c = double_bool.carrier
+    ident = [[c.one if i == j else c.zero for j in range(5)] for i in range(5)]
+    with pytest.raises(BoundExhausted, match="capped at 4x4"):
+        negated_determinant(double_bool, ident, neg)

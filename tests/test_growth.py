@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pairalg.errors import PreconditionError
+from pairalg.errors import BoundExhausted, PreconditionError
 from pairalg.growth import (base_check, build_model, commutative_model,
                             free_module_pair, free_words_model, gk_dimension,
                             growth_sequence, hilbert_series, is_semidomain,
@@ -111,3 +111,11 @@ def test_ore_witness_supertropical(st_nat):
     combo = c.add(c.mul(b1, ("t", 1)), c.mul(b2, ("t", 2)))
     assert st_nat.in_a0(combo)
     assert (b1, b2) == (("t", 1), ("t", 0))
+
+
+def test_rank_caps_raise_bound_exhausted(bool_pair):
+    mp = free_module_pair(bool_pair, 2)  # 4 elements, rank 2
+    with pytest.raises(BoundExhausted, match="max_module=3"):
+        rank(mp, max_module=3)
+    with pytest.raises(BoundExhausted, match="max_size=1"):
+        rank(mp, max_size=1)

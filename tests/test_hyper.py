@@ -1,6 +1,6 @@
 import pytest
 
-from pairalg.errors import PreconditionError
+from pairalg.errors import BoundExhausted, PreconditionError
 from pairalg.hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, find_isomorphism,
                            hyper_coset_quotient, krasner_hyperfield,
                            krasner_quotient, powerset_pair,
@@ -76,3 +76,8 @@ def test_semiring_as_hyperring_roundtrip(B):
     h = semiring_as_hyperring(B)
     assert verify_semihyperring(h).valid
     assert h.hadd(1, 1) == frozenset({1})
+
+
+def test_isomorphism_cap_raises_bound_exhausted(krasner):
+    with pytest.raises(BoundExhausted, match="max_size=1"):
+        find_isomorphism(krasner, krasner, max_size=1)

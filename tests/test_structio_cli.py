@@ -208,9 +208,21 @@ def test_cli_parser_is_built_once_and_reused(capsys, monkeypatch):
 
 
 def test_cli_enumeration_cap_exits_three(tmp_path, capsys):
-    s = nmax_trunc(8)  # 10 elements, past the 8-element enumeration cap
-    path = tmp_path / "nmax8.pair"
+    s = nmax_trunc(64)  # 66 elements, past the 64-element enumeration cap
+    path = tmp_path / "nmax64.pair"
     path.write_text(serialize_structures(
         {"semiring": s, "pair": SemiringPair(s, [s.zero], range(1, s.n))}))
     assert main(["spectrum", str(path)]) == 3
     assert capsys.readouterr().err.startswith("bound exhausted: ")
+
+
+def test_cli_spectrum_past_eight_elements(tmp_path, capsys):
+    s = nmax_trunc(30)  # 32 elements
+    path = tmp_path / "nmax30.pair"
+    path.write_text(serialize_structures(
+        {"semiring": s, "pair": SemiringPair(s, [s.zero], range(1, s.n))}))
+    code, report = run(capsys, "spectrum", str(path))
+    assert code == 0
+    assert report["prime_count"] == 1
+    assert report["semiprime_count"] == 1
+    assert report["krull_dimension"] == 0
