@@ -26,6 +26,13 @@ NO_PAIR_CONGRUENCE = "no pair-congruence"
 
 TANGIBLE, QUASI_ZERO = 1, 2
 
+# Work caps: enumeration stops past MAX_CONGRUENCES congruences (Bell(8), the
+# most an 8-element carrier can have), and one classification run stops past
+# MAX_TWIST_PRODUCTS twist products (under a second of CPU time on a 2-core
+# x86-64 host).
+MAX_CONGRUENCES = 4140
+MAX_TWIST_PRODUCTS = 1000000
+
 
 class NoPairCongruence(StructureError):
     """Closure of the seeds meets T x A0: no pair-congruence contains them."""
@@ -242,6 +249,21 @@ def _inside(x):
     return x[0] == x[1]
 
 
+class _Work:
+    """Twist products left to one classification run; spending past
+    MAX_TWIST_PRODUCTS raises BoundExhausted."""
+
+    def __init__(self):
+        self.left = MAX_TWIST_PRODUCTS
+
+    def spend(self, n):
+        self.left -= n
+        if self.left < 0:
+            raise BoundExhausted(
+                "classification exceeded MAX_TWIST_PRODUCTS=%d twist products"
+                % MAX_TWIST_PRODUCTS)
+
+
 def _pairs_on_quotient(cong):
     """The carrier modulo the congruence, as a FiniteSemiring on the class
     numbers 0..k-1, and its element pairs (a, b) with a <= b. A pair lies in
@@ -264,34 +286,41 @@ def _pairs_on_quotient(cong):
     return q, list(itertools.combinations_with_replacement(q.elements(), 2))
 
 
-def is_semiprime(cong):
+def is_semiprime(cong, work=None):
     """Element criterion: x * (AxA) * x inside the congruence forces x in.
-    Run on the quotient, where the congruence is the diagonal."""
+    Run on the quotient, where the congruence is the diagonal. The twist
+    products are charged to ``work``, a fresh budget by default."""
+    work = work or _Work()
     q, pairs = _pairs_on_quotient(cong)
     for x in pairs:
         if _inside(x):
             continue
-        if all(_inside(twist_product(q, twist_product(q, x, y), x)) for y in pairs):
+        for tried, y in enumerate(pairs, 1):
+            if not _inside(twist_product(q, twist_product(q, x, y), x)):
+                break
+        else:
             return False
+        work.spend(2 * tried)
     return True
 
 
-def is_prime(cong):
+def is_prime(cong, work=None):
     """Two-element criterion: x * (AxA) * y inside forces x in or y in.
-    Run on the quotient, where the congruence is the diagonal. A product
-    that puts one y outside often does so for the next, so it moves to the
-    front of the list."""
+    Run on the quotient, where the congruence is the diagonal. The twist
+    products are charged to ``work``, a fresh budget by default."""
+    work = work or _Work()
     q, pairs = _pairs_on_quotient(cong)
     outside = [x for x in pairs if not _inside(x)]
     for x in outside:
-        left = list({twist_product(q, x, z) for z in pairs})
+        work.spend(len(pairs))
+        left = [twist_product(q, x, z) for z in pairs]
         for y in outside:
-            for i, w in enumerate(left):
+            for tried, w in enumerate(left, 1):
                 if not _inside(twist_product(q, w, y)):
-                    left[0], left[i] = w, left[0]
                     break
             else:
                 return False
+            work.spend(tried)
     return True
 
 
@@ -307,7 +336,8 @@ def classify_congruence(cong, lattice=None):
     """Record of prime / semiprime / irreducible. Irreducibility needs the
     enumerated lattice; when given, the consistency of
     prime = semiprime and irreducible is asserted."""
-    out = {"semiprime": is_semiprime(cong), "prime": is_prime(cong)}
+    work = _Work()
+    out = {"semiprime": is_semiprime(cong, work), "prime": is_prime(cong, work)}
     if lattice is not None:
         out["irreducible"] = is_irreducible(cong, lattice)
         assert out["prime"] == (out["semiprime"] and out["irreducible"])
@@ -355,7 +385,8 @@ def radical(cong, check=True):
 def intersection_of_primes_above(cong, lattice):
     """Intersection of all primes containing the congruence;
     NO_PAIR_CONGRUENCE when there are none."""
-    primes = [d for d in lattice if cong <= d and is_prime(d)]
+    work = _Work()
+    primes = [d for d in lattice if cong <= d and is_prime(d, work)]
     if not primes:
         return NO_PAIR_CONGRUENCE
     cls = primes[0].cls
@@ -397,15 +428,14 @@ def _principal_congruences(ix):
     return principal
 
 
-def enumerate_congruences(p, max_elems=64, max_congruences=4140):
+def enumerate_congruences(p, max_elems=64):
     """All pair-congruences on a finite carrier: the diagonal closed under
     joins with the admissible principal congruences Cg(a, b); a join with
     Cg(a, b) is skipped when the base already relates a and b. Admissible
     congruences form a down-set, so a join that meets T x A0 is dropped at
     once. Sorted by relation size then canonical pair order, so the
     diagonal comes first. Carriers past ``max_elems`` and lattices past
-    ``max_congruences`` (Bell(8) = 4140, the most an 8-element carrier can
-    have) raise BoundExhausted."""
+    MAX_CONGRUENCES raise BoundExhausted."""
     if not p.carrier.finite:
         raise PreconditionError("enumeration needs a finite carrier")
     n = len(list(p.carrier.elements()))
@@ -432,10 +462,10 @@ def enumerate_congruences(p, max_elems=64, max_congruences=4140):
             if cls not in found:
                 found.add(cls)
                 frontier.append(cls)
-                if len(found) > max_congruences:
+                if len(found) > MAX_CONGRUENCES:
                     raise BoundExhausted(
-                        "congruence lattice has more than max_congruences=%d "
-                        "elements" % max_congruences)
+                        "congruence lattice has more than MAX_CONGRUENCES=%d "
+                        "elements" % MAX_CONGRUENCES)
 
     def order(cg):
         pairs = cg._pairs()
@@ -461,10 +491,12 @@ def _longest_chain(primes):
 def prime_spectrum_krull(p, max_elems=64):
     """Prime congruences and Krull dimension of a finite pair. Also checks
     that every semiprime congruence is an intersection of a nonempty set of
-    primes, and vice versa."""
+    primes, and vice versa. The classification of the whole lattice shares
+    one budget of MAX_TWIST_PRODUCTS."""
     lattice = enumerate_congruences(p, max_elems)
-    primes = [c for c in lattice if is_prime(c)]
-    semiprimes = {c.cls for c in lattice if is_semiprime(c)}
+    work = _Work()
+    primes = [c for c in lattice if is_prime(c, work)]
+    semiprimes = {c.cls for c in lattice if is_semiprime(c, work)}
     # intersections of nonempty sets of primes: the primes closed under meets
     from_primes = {q.cls for q in primes}
     frontier = list(from_primes)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pairalg import congruences
 from pairalg.congruences import (NO_PAIR_CONGRUENCE, NoPairCongruence,
                                  classify_congruence, congruence_kernel,
                                  diagonal, enumerate_congruences,
@@ -143,7 +144,7 @@ def test_generated_chain_probe_collapses_on_truncation():
     assert congs[0] <= congs[1]
 
 
-def test_search_caps_raise_bound_exhausted():
+def test_search_caps_raise_bound_exhausted(monkeypatch):
     n64 = nmax_trunc(64)  # 66 elements, past the 64-element enumeration cap
     p = SemiringPair(n64, a0=[n64.zero], tangibles=list(range(1, n64.n)),
                      name="nmax64-pair")
@@ -157,6 +158,24 @@ def test_search_caps_raise_bound_exhausted():
                            [[min(i, j) for j in range(6)] for i in range(6)],
                            zero=0, one=5, name="maxmin(6)")
     maxmin = SemiringPair(chain, a0=[0], tangibles=range(1, 6))
-    assert len(enumerate_congruences(maxmin, max_congruences=16)) == 16
-    with pytest.raises(BoundExhausted, match="max_congruences=15"):
-        enumerate_congruences(maxmin, max_congruences=15)
+    monkeypatch.setattr(congruences, "MAX_CONGRUENCES", 16)
+    assert len(enumerate_congruences(maxmin)) == 16
+    monkeypatch.setattr(congruences, "MAX_CONGRUENCES", 15)
+    with pytest.raises(BoundExhausted, match="MAX_CONGRUENCES=15"):
+        enumerate_congruences(maxmin)
+
+
+def test_classification_budget_raises_bound_exhausted(monkeypatch, bool_pair):
+    # on the boolean pair the semiprime test of the diagonal takes 4 twist
+    # products and the prime test 5; the spectrum charges both to one budget
+    d = diagonal(bool_pair)
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 4)
+    assert is_semiprime(d)
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 3)
+    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=3"):
+        is_semiprime(d)
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 9)
+    assert len(prime_spectrum_krull(bool_pair)["primes"]) == 1
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 8)
+    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=8"):
+        prime_spectrum_krull(bool_pair)

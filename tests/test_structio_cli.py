@@ -7,7 +7,7 @@ import pytest
 from pairalg import cli
 from pairalg.cli import main
 from pairalg.pairs import SemiringPair
-from pairalg.semirings import nmax_trunc
+from pairalg.semirings import FiniteSemiring, nmax_trunc
 from pairalg.structio import (ParseError, load_structures, parse_structures,
                               serialize_structures)
 
@@ -214,6 +214,22 @@ def test_cli_enumeration_cap_exits_three(tmp_path, capsys):
         {"semiring": s, "pair": SemiringPair(s, [s.zero], range(1, s.n))}))
     assert main(["spectrum", str(path)]) == 3
     assert capsys.readouterr().err.startswith("bound exhausted: ")
+
+
+def test_cli_classification_budget_exits_three(tmp_path, capsys):
+    # the diagonal of F_61 is prime, and showing it takes about 61^4/4
+    # twist products, past MAX_TWIST_PRODUCTS
+    q = 61
+    s = FiniteSemiring([str(i) for i in range(q)],
+                       [[(i + j) % q for j in range(q)] for i in range(q)],
+                       [[i * j % q for j in range(q)] for i in range(q)],
+                       zero=0, one=1, name="F61")
+    path = tmp_path / "f61.pair"
+    path.write_text(serialize_structures(
+        {"semiring": s, "pair": SemiringPair(s, [0], range(1, q))}))
+    assert main(["spectrum", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "bound exhausted: classification exceeded MAX_TWIST_PRODUCTS=")
 
 
 def test_cli_spectrum_past_eight_elements(tmp_path, capsys):
