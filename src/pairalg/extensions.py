@@ -60,12 +60,18 @@ class ExtensionPair:
                     report.record("centralizing", (a, w))
         return report
 
-    def eval_poly(self, coeffs, y):
-        """sum coeffs[i] y^i inside the extension, coefficients from the base."""
+    def powers(self, y, degree):
+        """y^0, ..., y^degree inside the extension."""
+        ee = self.ext.carrier
+        return [ee.power(y, i) for i in range(degree + 1)]
+
+    def eval_poly(self, coeffs, powers):
+        """sum coeffs[i] y^i inside the extension, coefficients from the
+        base; ``powers`` lists y^0, y^1, ... as ``self.powers`` gives them."""
         ee = self.ext.carrier
         total = ee.zero
-        for i, a in enumerate(coeffs):
-            total = ee.add(total, ee.mul(self.embed(a), ee.power(y, i)))
+        for a, y_i in zip(coeffs, powers):
+            total = ee.add(total, ee.mul(self.embed(a), y_i))
         return total
 
 
@@ -82,10 +88,11 @@ def is_integral(ext, y, degree_bound=3, window=20, tangible_only=False):
         base = ext.base_sample(window)
     complete = ext.base.carrier.finite
     unknown = False
+    powers = ext.powers(y, degree_bound)
     for n in range(1, degree_bound + 1):
-        target = p.carrier.power(y, n)
+        target = powers[n]
         for coeffs in itertools.product(base, repeat=n):
-            val = ext.eval_poly(coeffs, y)
+            val = ext.eval_poly(coeffs, powers)
             v = p.surpasses(val, target)
             if v:
                 return Verdict(YES, witness={"degree": n, "coeffs": coeffs})
@@ -103,11 +110,12 @@ def is_algebraic(ext, y, degree_bound=3, window=20):
     p = ext.ext
     base = ext.base_sample(window)
     zero = ext.base.carrier.zero
+    powers = ext.powers(y, degree_bound)
     for n in range(1, degree_bound + 1):
         for coeffs in itertools.product(base, repeat=n + 1):
             if coeffs[-1] == zero:
                 continue
-            if p.in_a0(ext.eval_poly(coeffs, y)):
+            if p.in_a0(ext.eval_poly(coeffs, powers)):
                 return Verdict(YES, witness={"degree": n, "coeffs": coeffs})
     if ext.base.carrier.finite:
         return Verdict(NO, bound=degree_bound)
@@ -122,9 +130,10 @@ def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=20):
     tang = list(ext.base.tangible_elements() if ext.base.carrier.finite
                 else ext.base.tangible_elements(window))
     coeff_pool = [ext.base.carrier.zero] + tang
+    powers = ext.powers(y, degree_bound)
     for n in range(0, degree_bound + 1):
         for coeffs in itertools.product(coeff_pool, repeat=n + 1):
-            if ext.eval_poly(coeffs, y) == s:
+            if ext.eval_poly(coeffs, powers) == s:
                 return Verdict(YES, witness={"degree": n, "coeffs": coeffs})
     return Verdict(NO if ext.base.carrier.finite else UNKNOWN, bound=degree_bound)
 
@@ -132,31 +141,37 @@ def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=20):
 def is_congruence_algebraic(ext, y, degree_bound=2, window=12, coeffs=None):
     """Transcendence test per the functional definition: y is congruence
     algebraic when some f1(y) dominating f2(y) fails to dominate at a base
-    point. Returns the violating (f1, f2, b) as certificate."""
+    point. Returns the violating (f1, f2, b) as certificate. Each candidate
+    is evaluated at y once, and at a base point the first time it is
+    needed there."""
     p = ext.ext
     base_pair = ext.base
     pool = coeffs if coeffs is not None else ext.base_sample(window)
     base_pts = ext.base_sample(window)
     monos = [(k,) for k in range(degree_bound + 1)]
+    powers = ext.powers(y, degree_bound)
     unknown = False
-    polys = []
+    polys, at_y = [], []
     for choice in itertools.product(pool, repeat=len(monos)):
         polys.append(Polynomial(base_pair, 1, dict(zip(monos, choice))))
+        at_y.append(ext.eval_poly(choice, powers))
+    at_point = {}
 
-    def eval_ext(f, v_ext):
-        coeff_list = [f.coeff((k,)) for k in range(degree_bound + 1)]
-        return ext.eval_poly(coeff_list, v_ext)
+    def value(i, k):
+        if (i, k) not in at_point:
+            at_point[i, k] = poly_eval(polys[i], (base_pts[k],))
+        return at_point[i, k]
 
-    for f1 in polys:
-        for f2 in polys:
-            dom = p.surpasses(eval_ext(f2, y), eval_ext(f1, y))
+    for i, f1 in enumerate(polys):
+        for j, f2 in enumerate(polys):
+            dom = p.surpasses(at_y[j], at_y[i])
             if dom is None:
                 unknown = True
                 continue
             if not dom:
                 continue
-            for b in base_pts:
-                holds = base_pair.surpasses(poly_eval(f2, (b,)), poly_eval(f1, (b,)))
+            for k, b in enumerate(base_pts):
+                holds = base_pair.surpasses(value(j, k), value(i, k))
                 if holds is False:
                     return Verdict(YES, witness={"f1": f1, "f2": f2, "point": b})
                 if holds is None:

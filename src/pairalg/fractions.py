@@ -12,11 +12,13 @@ from .pairs import SemiringPair
 def check_regular(p, s, mode="left", window=30):
     """Cancellation of s: left mode cancels s on the right of products
     (b1 s = b2 s forces b1 = b2), right mode on the left, preceq_left
-    relaxes equality to the surpassing order."""
+    relaxes equality to the surpassing order. An undecided surpassing
+    check and no failure give UNKNOWN."""
     if not p.is_tangible(s):
         raise PreconditionError("regularity is defined for tangible elements")
     c = p.carrier
     sample = list(c.elements()) if c.finite else list(c.sample(window))
+    unknown = False
     for b1, b2 in itertools.combinations(sample, 2):
         if mode == "left":
             if c.mul(b1, s) == c.mul(b2, s):
@@ -27,10 +29,14 @@ def check_regular(p, s, mode="left", window=30):
         elif mode == "preceq_left":
             for x, y in ((b1, b2), (b2, b1)):
                 lhs = p.surpasses(c.mul(x, s), c.mul(y, s))
-                if lhs and p.surpasses(x, y) is False:
+                rhs = p.surpasses(x, y) if lhs else True
+                if rhs is False:
                     return Verdict(NO, witness=(x, y))
+                unknown = unknown or lhs is None or rhs is None
         else:
             raise PreconditionError("unknown mode %r" % mode)
+    if unknown:
+        return Verdict(UNKNOWN, bound=window, detail="surpassing undecided")
     return Verdict(YES) if c.finite else Verdict(YES, bound=window,
                                                  detail="windowed")
 

@@ -133,7 +133,8 @@ def unit_vectors(mp, n):
 def base_check(mp, S, coeff_pool=None):
     """Spanning: every vector tops some combination of S in the module
     order. Independence: dominated combinations force coefficientwise
-    domination. Exhaustive over the coefficient pool."""
+    domination; None when the base pair's order is undecided on some
+    coefficient and fails on none. Exhaustive over the coefficient pool."""
     S = list(S)
     pool = list(coeff_pool) if coeff_pool is not None else list(mp.pair.carrier.elements())
     c = mp.pair.carrier
@@ -157,11 +158,14 @@ def base_check(mp, S, coeff_pool=None):
     for c1 in itertools.product(pool, repeat=len(S)):
         for c2 in itertools.product(pool, repeat=len(S)):
             if mp.surpasses(combo(c1), combo(c2)):
-                if not all(mp.pair.surpasses(a, b) for a, b in zip(c1, c2)):
+                below = [mp.pair.surpasses(a, b) for a, b in zip(c1, c2)]
+                if False in below:
                     independent = False
                     indep_witness = (c1, c2)
                     break
-        if not independent:
+                if None in below:
+                    independent = None
+        if independent is False:
             break
     return {
         "spans": spans, "span_witness": span_witness,

@@ -199,30 +199,29 @@ def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW, assert_shallow_str
         if p.surpasses(p.zero, c, window) is False:
             report.record("zero-below-quasi-zero", (c,))
 
-    # reflexivity and transitivity of the partial preorder, on samples
+    # reflexivity and transitivity of the partial preorder, on samples: the
+    # relation is tabulated once on the sample, then scanned
     limit = elems if p.finite else elems[: min(len(elems), 12)]
-    for b in limit:
-        if p.surpasses(b, b, window) is False:
+    above = [[p.surpasses(b1, b2, window) for b2 in limit] for b1 in limit]
+    for i, b in enumerate(limit):
+        if above[i][i] is False:
             report.record("reflexive", (b,))
-    for b1, b2, b3 in itertools.product(limit, repeat=3):
+    for (i, b1), (j, b2), (k, b3) in itertools.product(enumerate(limit), repeat=3):
         report.checked += 1
-        if (
-            p.surpasses(b1, b2, window) is True
-            and p.surpasses(b2, b3, window) is True
-            and p.surpasses(b1, b3, window) is False
-        ):
+        if above[i][j] is True and above[j][k] is True and above[i][k] is False:
             report.record("transitive", (b1, b2, b3))
 
-    # additivity (ii) and T-action (iii)
-    for b1, b2, c1, c2 in itertools.product(limit, repeat=4):
-        if p.surpasses(b1, b2, window) is True and p.surpasses(c1, c2, window) is True:
+    # additivity (ii) and T-action (iii), over the pairs that surpass
+    below = [(b1, b2) for b1, row in zip(limit, above)
+             for b2, v in zip(limit, row) if v is True]
+    for b1, b2 in below:
+        for c1, c2 in below:
             if p.surpasses(p.add(b1, c1), p.add(b2, c2), window) is False:
                 report.record("additive", (b1, b2, c1, c2))
     for a in tang:
-        for b1, b2 in itertools.product(limit, repeat=2):
-            if p.surpasses(b1, b2, window) is True:
-                if p.surpasses(p.mul(a, b1), p.mul(a, b2), window) is False:
-                    report.record("tangible-action", (a, b1, b2))
+        for b1, b2 in below:
+            if p.surpasses(p.mul(a, b1), p.mul(a, b2), window) is False:
+                report.record("tangible-action", (a, b1, b2))
 
     # (iv) restriction to equality on tangibles
     for a, b in itertools.product(tang, repeat=2):

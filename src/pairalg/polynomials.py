@@ -90,20 +90,27 @@ class Polynomial:
         return "Polynomial(%s)" % " + ".join(bits)
 
 
+def _sum_terms(f, power):
+    """sum of f's terms, each coefficient times power(i, k) for the
+    variables i of its monomial with exponent k > 0, in term order."""
+    c = f.pair.carrier
+    total = c.zero
+    for exp, v in f.terms.items():
+        term = v
+        for i, k in enumerate(exp):
+            if k:
+                term = c.mul(term, power(i, k))
+        total = c.add(total, term)
+    return total
+
+
 def poly_eval(f, point):
     """Evaluation homomorphism at a carrier tuple."""
     point = tuple(point)
     if len(point) != f.nvars:
         raise PreconditionError("point arity mismatch")
     c = f.pair.carrier
-    total = c.zero
-    for exp, v in f.terms.items():
-        term = v
-        for b, k in zip(point, exp):
-            if k:
-                term = c.mul(term, c.power(b, k))
-        total = c.add(total, term)
-    return total
+    return _sum_terms(f, lambda i, k: c.power(point[i], k))
 
 
 def functional_equal(f, g, domain):
@@ -117,9 +124,15 @@ def is_tangible_poly(f):
 
 
 def find_preceq_roots(f, domain):
-    """Tuples from the domain where the value lands in A0, in scan order."""
-    pts = itertools.product(domain, repeat=f.nvars)
-    return [pt for pt in pts if f.pair.in_a0(poly_eval(f, pt))]
+    """Tuples from the domain where the value lands in A0, in scan order.
+    The powers of each domain element are computed once."""
+    c = f.pair.carrier
+    table = [(b, [c.power(b, k) for k in range(f.degree() + 1)]) for b in domain]
+    roots = []
+    for pt in itertools.product(table, repeat=f.nvars):
+        if f.pair.in_a0(_sum_terms(f, lambda i, k: pt[i][1][k])):
+            roots.append(tuple(b for b, _ in pt))
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +281,19 @@ def twist_compose_product(x, y):
 def check_mixed_associativity(fpair, gpair, z):
     """Compares ((f)*(g)) at z against f at (g at z). Returns "equal",
     "surpasses" when the combined side dominates coordinatewise in the
-    surpassing order (ghost ties can strictly dominate), or "fails"."""
+    surpassing order (ghost ties can strictly dominate), "fails", or
+    "unknown" when the order is undecided on a coordinate and fails on
+    none."""
     lhs = twist_substitute(twist_compose_product(fpair, gpair), z)
     inner = twist_substitute(gpair, z)
     rhs = twist_substitute(fpair, ((inner[0],), (inner[1],)))
     if lhs == rhs:
         return "equal"
     p = fpair[0].pair
-    if all(p.surpasses(r, l) for r, l in zip(rhs, lhs)):
-        return "surpasses"
-    return "fails"
+    below = [p.surpasses(r, l) for r, l in zip(rhs, lhs)]
+    if False in below:
+        return "fails"
+    return "unknown" if None in below else "surpasses"
 
 
 def twist_conv_product(x, y):

@@ -3,13 +3,13 @@ from fractions import Fraction as QFraction
 
 import pytest
 
-from pairalg.errors import PreconditionError
+from pairalg.errors import PreconditionError, UNKNOWN
 from pairalg.fractions import (LocalizationContext, build_fraction_pair,
                                check_ore, check_regular, common_denominator,
                                frac_add, frac_equiv, frac_in_a0,
                                frac_is_tangible, frac_mul)
 from pairalg.pairs import SemiringPair
-from pairalg.semirings import nat_plus_times
+from pairalg.semirings import double, nat_plus_times
 
 
 def dyadic_context(window=30):
@@ -25,6 +25,14 @@ def dyadic_context(window=30):
 def test_regular_and_ore(bool_pair):
     assert check_regular(bool_pair, 1)
     assert check_ore(bool_pair, [1])
+
+
+def test_preceq_left_unknown_on_symbolic_pair():
+    # in double(nat), (1,1) reaches (0,0) through no quasi-zero of any window,
+    # so the surpassing order is undecided there and no pair fails
+    v = check_regular(double(nat_plus_times()), (1, 0), mode="preceq_left",
+                      window=2)
+    assert v.status == UNKNOWN and v.bound == 2
 
 
 def test_central_shortcut():

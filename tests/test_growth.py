@@ -3,7 +3,7 @@ import math
 import pytest
 
 from pairalg.errors import BoundExhausted, PreconditionError
-from pairalg.growth import (base_check, build_model, commutative_model,
+from pairalg.growth import (ModulePair, base_check, build_model, commutative_model,
                             free_module_pair, free_words_model, gk_dimension,
                             growth_sequence, hilbert_series, is_semidomain,
                             matrix_units_model, module_morphisms, ore_witness,
@@ -28,6 +28,18 @@ def test_proper_subset_does_not_span(bool_pair):
     mp = free_module_pair(bool_pair, 2)
     out = base_check(mp, unit_vectors(mp, 2)[:1])
     assert not out["spans"]
+
+
+def test_base_check_unknown_on_symbolic_pair():
+    # coefficients 3 and 4 give the same truncated vector, and whether 3
+    # precedes 4 over the naturals is undecided in any window
+    p = SemiringPair(nat_plus_times(), a0=lambda x: x == 0,
+                     tangibles=lambda x: x != 0, name="nat")
+    mp = ModulePair(p, range(4), lambda v, w: min(v + w, 3),
+                    lambda a, v: min(a * v, 3), 0, [0])
+    out = base_check(mp, [1], coeff_pool=range(5))
+    assert out["spans"] is True
+    assert out["independent"] is None and out["is_base"] is None
 
 
 def test_rank_of_free_module(bool_pair):

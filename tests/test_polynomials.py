@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pairalg.errors import PreconditionError
+from pairalg.pairs import SemiringPair
 from pairalg.polynomials import (Polynomial, build_polynomial_pair,
                                  check_mixed_associativity,
                                  check_polypair_semiprime, compose_star,
@@ -11,6 +12,7 @@ from pairalg.polynomials import (Polynomial, build_polynomial_pair,
                                  geometric_congruence, is_tangible_poly,
                                  parse_poly, poly_eval, twist_compose_product,
                                  twist_substitute)
+from pairalg.semirings import nat_plus_times
 
 
 def st_domain(lo, hi):
@@ -107,6 +109,16 @@ def test_mixed_associativity_surpasses_with_coefficients(st_nat):
                                                (fs[2], fs[3]), z))
     assert "fails" not in outcomes
     assert "surpasses" in outcomes
+
+
+def test_mixed_associativity_unknown_on_symbolic_pair():
+    # over the naturals two distinct values are related only through
+    # quasi-zeros outside the window, so the order is undecided
+    p = SemiringPair(nat_plus_times(), a0=lambda x: x == 0,
+                     tangibles=lambda x: x != 0, name="nat")
+    x = Polynomial.variable(p, 1)
+    x1 = x + Polynomial.constant(p, 1, 1)
+    assert check_mixed_associativity((x, x1), (x, x), ((1,), (2,))) == "unknown"
 
 
 def test_geometric_congruence_membership(st_int):
