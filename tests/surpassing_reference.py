@@ -17,6 +17,21 @@ from pairalg.polynomials import Polynomial
 DEFAULT_WINDOW = 50
 
 
+def poly_eval(f, point):
+    point = tuple(point)
+    if len(point) != f.nvars:
+        raise PreconditionError("point arity mismatch")
+    c = f.pair.carrier
+    total = c.zero
+    for exp, v in f.terms.items():
+        term = v
+        for b, k in zip(point, exp):
+            if k:
+                term = c.mul(term, c.power(b, k))
+        total = c.add(total, term)
+    return total
+
+
 def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW, assert_shallow_strong=True):
     report = AxiomReport(subject="%s surpassing" % p.name)
     if not p.finite:
@@ -104,21 +119,6 @@ def is_congruence_algebraic(ext, y, degree_bound=2, window=12, coeffs=None):
     if unknown or not (ext.base.carrier.finite and ext.ext.carrier.finite):
         return Verdict(UNKNOWN, bound=degree_bound, detail="transcendental at bound")
     return Verdict(NO, bound=degree_bound, detail="transcendental at bound")
-
-
-def poly_eval(f, point):
-    point = tuple(point)
-    if len(point) != f.nvars:
-        raise PreconditionError("point arity mismatch")
-    c = f.pair.carrier
-    total = c.zero
-    for exp, v in f.terms.items():
-        term = v
-        for b, k in zip(point, exp):
-            if k:
-                term = c.mul(term, c.power(b, k))
-        total = c.add(total, term)
-    return total
 
 
 def find_preceq_roots(f, domain):
