@@ -19,7 +19,7 @@ from .congruences import (NO_PAIR_CONGRUENCE, NoPairCongruence, diagonal,
 from .errors import (BoundExhausted, NO, PairAlgError, PreconditionError,
                      StructureError, UNKNOWN, YES)
 from .extensions import ExtensionPair, is_algebraic, is_congruence_algebraic, is_integral
-from .fractions import build_fraction_pair, check_ore
+from .fractions import OreFailure, build_fraction_pair
 from .hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, krasner_quotient,
                     powerset_pair, verify_semihypergroup, verify_semihyperring)
 from .pairs import is_shallow, property_n_status, verify_admissible
@@ -251,16 +251,16 @@ def cmd_localize(args):
     if not p.finite:
         raise StructureError("localize expects a finite structure file")
     S = [p.carrier.index(lab) for lab in args.s_subset.split()]
-    ore = check_ore(p, S, window=args.window)
-    if ore.status == NO:
+    try:
+        fp = build_fraction_pair(p, S, window=args.window)
+    except OreFailure as exc:
         return emit({"command": "localize", "input": args.structure,
-                     "ore": ore}, "denominator set fails the common-multiple "
-                    "condition", EXIT_FAIL)
-    fp = build_fraction_pair(p, S, window=args.window)
+                     "ore": exc.verdict}, "denominator set fails the "
+                    "common-multiple condition", EXIT_FAIL)
     c = fp.carrier
     report = {
         "command": "localize", "input": args.structure,
-        "s_subset": args.s_subset, "ore": ore,
+        "s_subset": args.s_subset, "ore": fp.context.ore,
         "elements": list(c.labels),
         "zero": c.labels[c.zero], "one": c.labels[c.one],
         "a0": [c.labels[i] for i in fp.a0_elements()],

@@ -85,6 +85,14 @@ def check_ore(p, S, window=30, s_member=None):
     return Verdict(YES) if c.finite else Verdict(YES, bound=window, detail="windowed")
 
 
+class OreFailure(PreconditionError):
+    """S fails the Ore condition; the failing check_ore verdict is kept."""
+
+    def __init__(self, verdict):
+        self.verdict = verdict
+        super().__init__("Ore condition fails: %r" % (verdict.witness,))
+
+
 class LocalizationContext:
     """Base pair plus a verified multiplicative set S of regular tangibles.
     For symbolic carriers S is given by an explicit sample list (kept
@@ -93,20 +101,17 @@ class LocalizationContext:
     def __init__(self, pair, s_elements, s_member=None, window=30):
         self.pair = pair
         self.s_elements = list(s_elements)
-        self.s_member = s_member or (lambda x: x in self.s_elements)
+        if not self.s_elements:
+            raise PreconditionError("the denominator set S is empty")
+        self.s_member = s_member or frozenset(self.s_elements).__contains__
         self.window = window
         self.ore = check_ore(pair, self.s_elements, window, s_member=self.s_member)
         if self.ore.status == NO:
-            raise PreconditionError("Ore condition fails: %r" % (self.ore.witness,))
+            raise OreFailure(self.ore)
+        self.central = self.ore.detail == "central"
         c = pair.carrier
-        sample = list(c.elements()) if c.finite else list(c.sample(window))
-        self.central = _is_central(pair, self.s_elements, sample)
-
-    def tangible_sample(self):
-        p = self.pair
-        if p.carrier.finite:
-            return list(p.tangible_elements())
-        return list(p.tangible_elements(self.window))
+        self.tangibles = list(pair.tangible_elements() if c.finite
+                              else pair.tangible_elements(window))
 
     def fraction(self, b, s):
         if not self.s_member(s):
@@ -137,7 +142,7 @@ def frac_equiv(x, y):
     if ctx is not y.ctx:
         raise PreconditionError("fractions from different localizations")
     c = ctx.pair.carrier
-    tang = ctx.tangible_sample()
+    tang = ctx.tangibles
     for a1 in tang:
         for a2 in tang:
             if (c.mul(a1, x.b) == c.mul(a2, y.b)
@@ -212,12 +217,53 @@ def frac_is_tangible(x, window=None):
     if p.is_tangible(x.b):
         return Verdict(YES)
     c = p.carrier
-    tang = ctx.tangible_sample()
-    for t in tang:
+    for t in ctx.tangibles:
         for s in ctx.s_elements:
             if frac_equiv(x, ctx.fraction(t, s)):
                 return Verdict(YES, witness=(t, s))
     return Verdict(NO) if c.finite else Verdict(UNKNOWN, detail="bounded search")
+
+
+def _fraction_classes(ctx):
+    """Classes of the fractions b/s (b in A, s in S, in that order) under
+    frac_equiv on a finite carrier, and the class of a fraction. frac_equiv
+    holds exactly when the signatures {(a b, a s) : a in T, a s in S} of the
+    two fractions meet, so a fraction's class is the least index its
+    signature hits among the representatives' signatures, or a new class:
+    the first match of a scan over the representatives, for at most 2 |T|
+    products per fraction instead of a |T|^2 witness search per class."""
+    c = ctx.pair.carrier
+    mul, member, tang = c.mul, ctx.s_member, ctx.tangibles
+
+    def signature(b, s):
+        return [(mul(a, b), a_s) for a in tang if member(a_s := mul(a, s))]
+
+    index, classes, class_at = {}, [], {}
+
+    def hit(sig):
+        return min((index[e] for e in sig if e in index), default=None)
+
+    for b in c.elements():
+        for s in ctx.s_elements:
+            sig = signature(b, s)
+            i = hit(sig)
+            if i is None:
+                i = len(classes)
+                classes.append([])
+                index.update(dict.fromkeys(sig, i))
+            classes[i].append(ctx.fraction(b, s))
+            class_at[b, s] = i
+
+    def cls_of(f):
+        # a member of S outside the listed denominators has no entry
+        i = class_at.get((f.b, f.s))
+        if i is None:
+            i = hit(signature(f.b, f.s))
+        if i is None:
+            raise PreconditionError("fraction escaped the class list")
+        return i
+
+    return classes, cls_of
 
 
 def build_fraction_pair(p, S, window=30, s_member=None):
@@ -229,24 +275,9 @@ def build_fraction_pair(p, S, window=30, s_member=None):
     if not p.carrier.finite:
         return ctx
     c = p.carrier
-    fracs = [ctx.fraction(b, s) for b in c.elements() for s in ctx.s_elements]
-    classes = []
-    for f in fracs:
-        for cl in classes:
-            if frac_equiv(f, cl[0]):
-                cl.append(f)
-                break
-        else:
-            classes.append([f])
+    classes, cls_of = _fraction_classes(ctx)
     reps = [cl[0] for cl in classes]
-
-    def cls_of(f):
-        for i, cl in enumerate(classes):
-            if frac_equiv(f, cl[0]):
-                return i
-        raise PreconditionError("fraction escaped the class list")
-
-    s0 = next(s for s in ctx.s_elements)
+    s0 = ctx.s_elements[0]
     fraction_classes = SymbolicSemiring(
         name="S^-1(%s)" % getattr(c, "name", "A"),
         add_fn=lambda i, j: cls_of(frac_add(reps[i], reps[j])),

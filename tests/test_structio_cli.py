@@ -153,6 +153,11 @@ def test_cli_localize(capsys):
     assert report["elements"]
 
 
+def test_cli_localize_empty_denominator_set_is_input_error(capsys):
+    assert main(["localize", fx("boolean.pair"), "--s-subset", ""]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_cli_polyroots_tangible_window(capsys):
     code, report = run(capsys, "polyroots", "supertropical-naturals",
                        "--poly", "x^2 + 1*x + 4", "--window", "10")
