@@ -38,7 +38,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
 
-DEFAULT_WINDOW = int(os.environ.get("PAIRALG_WINDOW", "20"))
+DEFAULT_WINDOW = 20
 
 
 def builtin_structures(name):
@@ -99,8 +99,14 @@ def jsonable(x):
     return repr(x)
 
 
-def emit(report, summary, code):
-    print(json.dumps(jsonable(report), sort_keys=True, indent=2))
+def emit(args, report, summary, code):
+    """Print the report, headed by the subcommand and, for subcommands that
+    take a structure, its input, as JSON on stdout and the summary on
+    stderr; return the exit code."""
+    head = {"command": args.command}
+    if hasattr(args, "structure"):
+        head["input"] = args.structure
+    print(json.dumps(jsonable({**head, **report}), sort_keys=True, indent=2))
     print(summary, file=sys.stderr)
     return code
 
@@ -135,8 +141,7 @@ def cmd_verify(args):
         rep = verify_admissible(structs["pair"], window=args.window)
         reports["pair"] = rep
         ok = ok and rep.valid
-    return emit({"command": "verify", "input": args.structure,
-                 "reports": reports, "valid": ok},
+    return emit(args, {"reports": reports, "valid": ok},
                 "verify %s: %s" % (args.structure, "ok" if ok else "FAILED"),
                 EXIT_OK if ok else EXIT_FAIL)
 
@@ -144,27 +149,25 @@ def cmd_verify(args):
 def cmd_shallow(args):
     p = need(load_input(args.structure), "pair", args.structure)
     flag = is_shallow(p, window=args.window)
-    report = {"command": "shallow", "input": args.structure, "shallow": flag}
+    report = {"shallow": flag}
     if not p.finite:
         report["window"] = args.window
-    return emit(report, "shallow: %s" % flag, EXIT_OK if flag else EXIT_FAIL)
+    return emit(args, report, "shallow: %s" % flag, EXIT_OK if flag else EXIT_FAIL)
 
 
 def cmd_property_n(args):
     p = need(load_input(args.structure), "pair", args.structure)
     status = property_n_status(p, window=args.window)
     code = EXIT_OK if status.status != "none" else EXIT_FAIL
-    return emit({"command": "property-n", "input": args.structure,
-                 "result": status},
+    return emit(args, {"result": status},
                 "property-n: %s" % status.status, code)
 
 
 def cmd_congruences(args):
     p = need(load_input(args.structure), "pair", args.structure)
     congs = enumerate_congruences(p)
-    return emit({"command": "congruences", "input": args.structure,
-                 "count": len(congs),
-                 "congruences": [c.as_json() for c in congs]},
+    return emit(args, {"count": len(congs),
+                       "congruences": [c.as_json() for c in congs]},
                 "%d pair-congruences" % len(congs), EXIT_OK)
 
 
@@ -175,11 +178,10 @@ def cmd_spectrum(args):
     summary = "%d primes, Krull dimension %s" % (len(spec["primes"]),
                                                  "undefined" if dim is None
                                                  else dim)
-    return emit({"command": "spectrum", "input": args.structure,
-                 "prime_count": len(spec["primes"]),
-                 "primes": [c.as_json() for c in spec["primes"]],
-                 "semiprime_count": spec["semiprime_count"],
-                 "krull_dimension": dim},
+    return emit(args, {"prime_count": len(spec["primes"]),
+                       "primes": [c.as_json() for c in spec["primes"]],
+                       "semiprime_count": spec["semiprime_count"],
+                       "krull_dimension": dim},
                 summary, EXIT_OK if spec["primes"] else EXIT_FAIL)
 
 
@@ -188,11 +190,9 @@ def cmd_krull(args):
     spec = prime_spectrum_krull(p)
     dim = spec["krull_dimension"]
     if dim is None:
-        return emit({"command": "krull", "input": args.structure,
-                     "krull_dimension": None},
+        return emit(args, {"krull_dimension": None},
                     "no primes; Krull dimension undefined", EXIT_FAIL)
-    return emit({"command": "krull", "input": args.structure,
-                 "krull_dimension": dim},
+    return emit(args, {"krull_dimension": dim},
                 "Krull dimension %d" % dim, EXIT_OK)
 
 
@@ -219,17 +219,14 @@ def cmd_radical(args):
         else:
             base = diagonal(p)
     except NoPairCongruence as exc:
-        return emit({"command": "radical", "input": args.structure,
-                     "radical": NO_PAIR_CONGRUENCE,
-                     "witness": jsonable(exc.witness)},
+        return emit(args, {"radical": NO_PAIR_CONGRUENCE,
+                           "witness": jsonable(exc.witness)},
                     "generators close onto T x A0", EXIT_FAIL)
     rad = radical_op(base)
     if rad == NO_PAIR_CONGRUENCE:
-        return emit({"command": "radical", "input": args.structure,
-                     "radical": NO_PAIR_CONGRUENCE},
+        return emit(args, {"radical": NO_PAIR_CONGRUENCE},
                     "radical: no pair-congruence", EXIT_FAIL)
-    return emit({"command": "radical", "input": args.structure,
-                 "radical": rad.as_json()},
+    return emit(args, {"radical": rad.as_json()},
                 "radical has %d pairs" % len(rad.relation), EXIT_OK)
 
 
@@ -238,11 +235,10 @@ def cmd_polyroots(args):
     f = parse_poly(p, args.poly)
     roots = find_preceq_roots(f, p.elements(args.window))
     labels = [p.label(r[0]) for r in roots]
-    report = {"command": "polyroots", "input": args.structure,
-              "poly": args.poly, "roots": labels}
+    report = {"poly": args.poly, "roots": labels}
     if not p.finite:
         report["window"] = args.window
-    return emit(report, "%d roots" % len(roots),
+    return emit(args, report, "%d roots" % len(roots),
                 EXIT_OK if roots else EXIT_FAIL)
 
 
@@ -254,12 +250,10 @@ def cmd_localize(args):
     try:
         fp = build_fraction_pair(p, S, window=args.window)
     except OreFailure as exc:
-        return emit({"command": "localize", "input": args.structure,
-                     "ore": exc.verdict}, "denominator set fails the "
+        return emit(args, {"ore": exc.verdict}, "denominator set fails the "
                     "common-multiple condition", EXIT_FAIL)
     c = fp.carrier
     report = {
-        "command": "localize", "input": args.structure,
         "s_subset": args.s_subset, "ore": fp.context.ore,
         "elements": list(c.labels),
         "zero": c.labels[c.zero], "one": c.labels[c.one],
@@ -268,7 +262,7 @@ def cmd_localize(args):
         "add": [[c.labels[v] for v in row] for row in c.add_table],
         "mul": [[c.labels[v] for v in row] for row in c.mul_table],
     }
-    return emit(report, "fraction pair with %d classes" % c.n, EXIT_OK)
+    return emit(args, report, "fraction pair with %d classes" % c.n, EXIT_OK)
 
 
 def cmd_classify_element(args):
@@ -290,8 +284,7 @@ def cmd_classify_element(args):
         kind = "congruence-algebraic"
     else:
         kind = "transcendental at bound"
-    report = {"command": "classify-element", "input": args.structure,
-              "element": args.element, "classification": kind,
+    report = {"element": args.element, "classification": kind,
               "integral": integral, "algebraic": algebraic,
               "congruence_algebraic": cong_alg,
               "degree_bound": args.degree, "window": args.window}
@@ -299,7 +292,7 @@ def cmd_classify_element(args):
     if kind == "transcendental at bound":
         code = (EXIT_BOUND if UNKNOWN in (integral.status, algebraic.status,
                                           cong_alg.status) else EXIT_FAIL)
-    return emit(report, "classification: %s" % kind, code)
+    return emit(args, report, "classification: %s" % kind, code)
 
 
 def _growth_model(args):
@@ -316,15 +309,15 @@ def _growth_model(args):
 def cmd_growth(args):
     profile = growth_mod.growth_sequence(_growth_model(args), args.kmax)
     code = EXIT_BOUND if profile.truncated else EXIT_OK
-    return emit({"command": "growth", "profile": profile},
+    return emit(args, {"profile": profile},
                 "d = %s" % profile.d, code)
 
 
 def cmd_hilbert(args):
     profile = growth_mod.growth_sequence(_growth_model(args), args.kmax)
     series = growth_mod.hilbert_series(profile)
-    return emit({"command": "hilbert", "model": profile.model.name,
-                 "kmax": args.kmax, "coefficients": series["coefficients"]},
+    return emit(args, {"model": profile.model.name,
+                       "kmax": args.kmax, "coefficients": series["coefficients"]},
                 "coefficients %s" % series["coefficients"],
                 EXIT_BOUND if profile.truncated else EXIT_OK)
 
@@ -334,8 +327,8 @@ def cmd_gk(args):
     est = growth_mod.gk_dimension(profile)
     summary = ("divergent (exponential growth)" if est["divergent"]
                else "GK estimate %.3f" % est["estimate"])
-    return emit({"command": "gk", "model": profile.model.name,
-                 "result": est}, summary, EXIT_OK)
+    return emit(args, {"model": profile.model.name,
+                       "result": est}, summary, EXIT_OK)
 
 
 def cmd_ore_witness(args):
@@ -355,8 +348,7 @@ def cmd_ore_witness(args):
                                window=args.window)
     summary = ("witness b1=%r b2=%r" % (v.witness["b1"], v.witness["b2"])
                if v.status == YES else "no witness at degree bound")
-    return emit({"command": "ore-witness", "input": args.structure,
-                 "a1": args.a1, "a2": args.a2, "result": v},
+    return emit(args, {"a1": args.a1, "a2": args.a2, "result": v},
                 summary, verdict_code(v))
 
 
@@ -368,10 +360,9 @@ def cmd_krasner(args):
     g = [s.index(lab) for lab in args.subgroup.split()]
     h = krasner_quotient(s, g)
     rep = verify_semihyperring(h)
-    return emit({"command": "krasner", "input": args.structure,
-                 "subgroup": args.subgroup,
-                 "quotient": serialize_structures({"hyper": h}),
-                 "verify": rep},
+    return emit(args, {"subgroup": args.subgroup,
+                       "quotient": serialize_structures({"hyper": h}),
+                       "verify": rep},
                 "quotient has %d classes, %s" % (h.n, "valid" if rep.valid
                                                  else "INVALID"),
                 EXIT_OK if rep.valid else EXIT_FAIL)
@@ -385,12 +376,11 @@ def cmd_powerset(args):
     p = powerset_pair(h, choice)
     rep = verify_admissible(p)
     c = p.carrier
-    return emit({"command": "powerset", "input": args.structure,
-                 "a0_choice": args.a0_choice,
-                 "elements": [c.label(x) for x in c.elements()],
-                 "a0": [c.label(x) for x in p.a0_elements()],
-                 "tangibles": [c.label(x) for x in p.tangible_elements()],
-                 "shallow": is_shallow(p), "verify": rep},
+    return emit(args, {"a0_choice": args.a0_choice,
+                       "elements": [c.label(x) for x in c.elements()],
+                       "a0": [c.label(x) for x in p.a0_elements()],
+                       "tangibles": [c.label(x) for x in p.tangible_elements()],
+                       "shallow": is_shallow(p), "verify": rep},
                 "powerset pair with %d elements, %s" %
                 (len(list(c.elements())), "valid" if rep.valid else "INVALID"),
                 EXIT_OK if rep.valid else EXIT_FAIL)

@@ -17,7 +17,7 @@ from .errors import (
     BoundExhausted, NO, PreconditionError, StructureError,
     UnsupportedStructureError, Verdict, YES,
 )
-from .semirings import FiniteSemiring, SymbolicSemiring, tabulate, twist_product
+from .semirings import FiniteSemiring, tabulate, twist_product
 from .pairs import SemiringPair, verify_admissible
 
 # Marker returned when a closure or an intersection has no pair-congruence
@@ -264,25 +264,37 @@ class _Work:
                 % MAX_TWIST_PRODUCTS)
 
 
-def _pairs_on_quotient(cong):
+def _quotient(cong, label=None, name=""):
     """The carrier modulo the congruence, as a FiniteSemiring on the class
-    numbers 0..k-1, and its element pairs (a, b) with a <= b. A pair lies in
-    the congruence iff its entries have equal images, and as the congruence
-    respects + and x, the image of a twist product is the twist product of
-    the images. Swapping the entries of either factor swaps those of a twist
-    product, and a swap keeps a pair inside or outside, so the pairs with
-    a <= b stand for all of them."""
+    numbers 0..k-1 in the order of the classes' least elements, and the
+    class number of each position. The tables are read off the least
+    elements; ``label`` names a class by its least element (by default the
+    class number is its label)."""
     cls, ix = cong.cls, cong.index
-    number = {r: i for i, r in enumerate(dict.fromkeys(cls))}
-    roots = list(number)
+    roots = list(dict.fromkeys(cls))
+    number = {r: i for i, r in enumerate(roots)}
+    image = [number[r] for r in cls]
 
     def table(t):
-        return [[number[cls[t[a][b]]] for b in roots] for a in roots]
+        return [[image[t[a][b]] for b in roots] for a in roots]
 
     add, mul = ix.tables[:2]
     c = cong.pair.carrier
-    q = FiniteSemiring(range(len(roots)), table(add), table(mul),
-                       number[cls[ix.pos[c.zero]]], number[cls[ix.pos[c.one]]])
+    labels = (range(len(roots)) if label is None
+              else [label(ix.elems[r]) for r in roots])
+    q = FiniteSemiring(labels, table(add), table(mul),
+                       image[ix.pos[c.zero]], image[ix.pos[c.one]], name)
+    return q, image
+
+
+def _pairs_on_quotient(cong):
+    """The quotient carrier (see ``_quotient``) and its element pairs
+    (a, b) with a <= b. A pair lies in the congruence iff its entries have equal
+    images, and as the congruence respects + and x, the image of a twist
+    product is the twist product of the images. Swapping the entries of
+    either factor swaps those of a twist product, and a swap keeps a pair
+    inside or outside, so the pairs with a <= b stand for all of them."""
+    q, _ = _quotient(cong)
     return q, list(itertools.combinations_with_replacement(q.elements(), 2))
 
 
@@ -542,35 +554,22 @@ def generated_chain_probe(p, seed_lists):
 
 
 def quotient_pair(p, cong):
-    """Pair on the equivalence classes, with induced operations. The class
-    carrier is rebuilt as a table semiring; representatives are checked to
-    agree, so an ill-defined operation raises rather than miscomputes.
-    Admissibility of the quotient is reported on the result, not assumed."""
+    """Pair on the equivalence classes, with induced operations read off
+    the class array. Every product of positions is checked against the
+    product of their classes, so an ill-defined operation raises rather
+    than miscomputes. Admissibility of the quotient is reported on the
+    result, not assumed."""
     if not p.carrier.finite:
         raise PreconditionError("quotient needs a finite carrier")
     c = p.carrier
-    elems = cong.index.elems
-    blocks = [[elems[x] for x in block] for block in cong._members().values()]
-    cls = {x: i for i, block in enumerate(blocks) for x in block}
-
-    def induced(op):
-        def on_classes(i, j):
-            vals = {cls[op(x, y)] for x in blocks[i] for y in blocks[j]}
-            if len(vals) != 1:
+    qcar, image = _quotient(cong, lambda e: "[%s]" % c.label(e),
+                            "%s/~" % getattr(c, "name", "A"))
+    for t, induced in zip(cong.index.tables, (qcar.add_table, qcar.mul_table)):
+        for a, row in enumerate(t):
+            on_class = induced[image[a]]
+            if any(on_class[i] != image[v] for i, v in zip(image, row)):
                 raise StructureError("induced operation ill-defined on classes")
-            return vals.pop()
-        return on_classes
-
-    classes = SymbolicSemiring(
-        name="%s/~" % getattr(c, "name", "A"),
-        add_fn=induced(c.add),
-        mul_fn=induced(c.mul),
-        zero=cls[c.zero],
-        one=cls[c.one],
-        sample_fn=lambda window: range(len(blocks)),
-        label_fn=lambda i: "[%s]" % c.label(blocks[i][0]),
-    )
-    qcar, _ = tabulate(classes, range(len(blocks)))
+    cls = dict(zip(cong.index.elems, image))
     qa0 = frozenset(cls[x] for x in p.a0_elements())
     qt = frozenset(cls[x] for x in p.tangible_elements())
     q = SemiringPair(qcar, qa0, qt, name="quotient")

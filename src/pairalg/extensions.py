@@ -21,12 +21,10 @@ class ExtensionPair:
         self.name = name or "extension"
 
     def base_sample(self, window=30):
-        c = self.base.carrier
-        return list(c.elements()) if c.finite else list(c.sample(window))
+        return list(self.base.carrier.sample(window))
 
     def ext_sample(self, window=30):
-        c = self.ext.carrier
-        return list(c.elements()) if c.finite else list(c.sample(window))
+        return list(self.ext.carrier.sample(window))
 
     def verify(self, window=20):
         report = AxiomReport(subject=self.name, window=window)
@@ -81,9 +79,7 @@ def is_integral(ext, y, degree_bound=3, window=20, tangible_only=False):
     tangible_only variant restricts coefficients to T plus 0."""
     p = ext.ext
     if tangible_only:
-        base = list(ext.base.tangible_elements() if ext.base.carrier.finite
-                    else ext.base.tangible_elements(window))
-        base = [ext.base.carrier.zero] + base
+        base = [ext.base.carrier.zero] + ext.base.tangible_elements(window)
     else:
         base = ext.base_sample(window)
     complete = ext.base.carrier.finite
@@ -127,9 +123,7 @@ def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=20):
     representation with coefficients in T plus 0 must exist; searched and
     returned."""
     p = ext.ext
-    tang = list(ext.base.tangible_elements() if ext.base.carrier.finite
-                else ext.base.tangible_elements(window))
-    coeff_pool = [ext.base.carrier.zero] + tang
+    coeff_pool = [ext.base.carrier.zero] + ext.base.tangible_elements(window)
     powers = ext.powers(y, degree_bound)
     for n in range(0, degree_bound + 1):
         for coeffs in itertools.product(coeff_pool, repeat=n + 1):

@@ -17,7 +17,7 @@ def check_regular(p, s, mode="left", window=30):
     if not p.is_tangible(s):
         raise PreconditionError("regularity is defined for tangible elements")
     c = p.carrier
-    sample = list(c.elements()) if c.finite else list(c.sample(window))
+    sample = c.sample(window)
     unknown = False
     for b1, b2 in itertools.combinations(sample, 2):
         if mode == "left":
@@ -60,15 +60,16 @@ def check_ore(p, S, window=30, s_member=None):
     for s1, s2 in itertools.product(S, repeat=2):
         if not member(c.mul(s1, s2)):
             raise PreconditionError("S not multiplicatively closed at %r" % ((s1, s2),))
-    sample = list(c.elements()) if c.finite else list(c.sample(window))
+    sample = list(c.sample(window))
+    central = _is_central(p, S, sample)
+    # on a central S right cancellation repeats the left mode's products
+    modes = ("left",) if central else ("left", "right")
     for s in S:
-        v = check_regular(p, s, "left", window)
-        if not v:
-            return Verdict(NO, witness=("not regular", s, v.witness))
-        v = check_regular(p, s, "right", window)
-        if not v:
-            return Verdict(NO, witness=("not regular", s, v.witness))
-    if _is_central(p, S, sample):
+        for mode in modes:
+            v = check_regular(p, s, mode, window)
+            if not v:
+                return Verdict(NO, witness=("not regular", s, v.witness))
+    if central:
         return Verdict(YES, detail="central")
     for b in sample:
         for s in S:
@@ -109,9 +110,7 @@ class LocalizationContext:
         if self.ore.status == NO:
             raise OreFailure(self.ore)
         self.central = self.ore.detail == "central"
-        c = pair.carrier
-        self.tangibles = list(pair.tangible_elements() if c.finite
-                              else pair.tangible_elements(window))
+        self.tangibles = pair.tangible_elements(window)
 
     def fraction(self, b, s):
         if not self.s_member(s):
@@ -164,7 +163,7 @@ def common_denominator(x, y):
         if not ctx.s_member(s):
             raise PreconditionError("common denominator %r escaped S" % (s,))
         return ctx.fraction(c.mul(y.s, x.b), s), ctx.fraction(c.mul(x.s, y.b), s)
-    sample = list(c.elements()) if c.finite else list(c.sample(ctx.window))
+    sample = list(c.sample(ctx.window))
     for sp in ctx.s_elements:
         for bp in sample:
             s = c.mul(sp, x.s)
@@ -186,7 +185,7 @@ def frac_mul(x, y):
     c = ctx.pair.carrier
     if ctx.central:
         return ctx.fraction(c.mul(x.b, y.b), c.mul(x.s, y.s))
-    sample = list(c.elements()) if c.finite else list(c.sample(ctx.window))
+    sample = list(c.sample(ctx.window))
     for sp in ctx.s_elements:
         for bp in sample:
             if c.mul(sp, x.b) == c.mul(bp, y.s):
@@ -203,8 +202,7 @@ def frac_in_a0(x, window=None):
     if p.in_a0(x.b):
         return Verdict(YES)
     c = p.carrier
-    a0s = list(p.a0_elements()) if c.finite else list(p.a0_elements(window or ctx.window))
-    for b0 in a0s:
+    for b0 in p.a0_elements(window or ctx.window):
         for s in ctx.s_elements:
             if frac_equiv(x, ctx.fraction(b0, s)):
                 return Verdict(YES, witness=(b0, s))

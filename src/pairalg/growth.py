@@ -8,6 +8,7 @@ from statistics import linear_regression
 
 from .errors import (AxiomReport, BoundExhausted, NO, PreconditionError, UNKNOWN,
                      Verdict, YES)
+from .pairs import additive_closure
 
 
 class ModulePair:
@@ -84,15 +85,7 @@ def verify_module_pair(mp, admissible=False):
             if mp.smul(a, v) not in mp.n_image:
                 report.record("a0-action-inside-image", (a, v))
     if admissible:
-        reach = set([mp.zero]) | set(mp.tangibles)
-        grown = True
-        while grown:
-            grown = False
-            for v, w in itertools.product(list(reach), repeat=2):
-                u = add(v, w)
-                if u not in reach:
-                    reach.add(u)
-                    grown = True
+        reach = additive_closure(add, {mp.zero} | mp.tangibles)
         for v in elems:
             if v not in reach:
                 report.record("tangible-spanning", (v,))

@@ -2,9 +2,10 @@
 pairs, and coset quotients in the style of Krasner."""
 
 import itertools
+import operator
 
 from .errors import AxiomReport, BoundExhausted, PreconditionError, StructureError
-from .pairs import SemiringPair
+from .pairs import SemiringPair, additive_closure
 from .semirings import Carrier
 
 
@@ -73,9 +74,6 @@ class SemiHyperring(SemiHypergroup):
     def mul(self, x, y):
         return self.mul_table[x][y]
 
-    def mul_set(self, x, s):
-        return frozenset(self.mul(x, b) for b in s)
-
 
 def verify_semihypergroup(h):
     report = AxiomReport(subject=h.name)
@@ -107,10 +105,9 @@ def verify_semihyperring(h):
         report.checked += 1
         if h.mul(h.mul(a, b), c) != h.mul(a, h.mul(b, c)):
             report.record("mul-associative", (a, b, c))
-        if h.mul_set(a, h.hadd(b, c)) != h.hadd_sets(h.mul_set(a, {b}), h.mul_set(a, {c})):
+        if {h.mul(a, x) for x in h.hadd(b, c)} != h.hadd(h.mul(a, b), h.mul(a, c)):
             report.record("left-distributive", (a, b, c))
-        rhs = frozenset(h.mul(x, c) for x in h.hadd(a, b))
-        if rhs != h.hadd_sets({h.mul(a, c)}, {h.mul(b, c)}):
+        if {h.mul(x, c) for x in h.hadd(a, b)} != h.hadd(h.mul(a, c), h.mul(b, c)):
             report.record("right-distributive", (a, b, c))
     return report
 
@@ -146,16 +143,8 @@ def powerset_pair(h, a0_choice=A0_CONTAINS_ZERO):
         raise PreconditionError("base fails semi-hyperring axioms: %s" % rep.violations[:3])
 
     singletons = [frozenset([a]) for a in h.elements()]
-    carrier = set(singletons)
-    frontier = list(singletons)
-    while frontier:
-        s = frontier.pop()
-        for t in list(carrier):
-            u = h.hadd_sets(s, t)
-            if u not in carrier:
-                carrier.add(u)
-                frontier.append(u)
-    elems = sorted(carrier, key=lambda s: (len(s), sorted(s)))
+    elems = sorted(additive_closure(h.hadd_sets, singletons),
+                   key=lambda s: (len(s), sorted(s)))
 
     class PowersetCarrier(Carrier):
         finite = True
@@ -193,7 +182,7 @@ def powerset_pair(h, a0_choice=A0_CONTAINS_ZERO):
         carrier_obj,
         a0,
         tangibles,
-        surpass="subset_inclusion",
+        surpass_fn=operator.le,
         name="%s[%s]" % (carrier_obj.name, a0_choice),
     )
 
@@ -202,7 +191,7 @@ def powerset_pair(h, a0_choice=A0_CONTAINS_ZERO):
 # Coset quotients
 
 
-def _check_subgroup(mul, one, elements, g):
+def _check_subgroup(mul, one, g):
     g = list(g)
     if one not in g:
         raise PreconditionError("subgroup must contain the unit")
@@ -227,7 +216,7 @@ def krasner_quotient(r, g):
 def hyper_coset_quotient(h, g):
     """Coset quotient of a finite semi-hyperring by a subgroup of its
     multiplicative monoid."""
-    g = _check_subgroup(h.mul, h.one, list(h.elements()), g)
+    g = _check_subgroup(h.mul, h.one, g)
 
     cosets = []
     seen = {}

@@ -29,7 +29,6 @@ class SemiringPair:
         a0,
         tangibles,
         tangible_sample=None,
-        surpass="precedes_zero",
         surpass_fn=None,
         negation_hint=None,
         name="",
@@ -38,7 +37,6 @@ class SemiringPair:
         self._a0 = a0
         self._tang = tangibles
         self._tangible_sample = tangible_sample
-        self.surpass_kind = surpass
         self.surpass_fn = surpass_fn
         self.negation_hint = negation_hint
         self.name = name or ("pair(%s)" % getattr(carrier, "name", "?"))
@@ -70,8 +68,6 @@ class SemiringPair:
         return self.carrier.label(x)
 
     def elements(self, window=DEFAULT_WINDOW):
-        if self.finite:
-            return list(self.carrier.elements())
         return list(self.carrier.sample(window))
 
     # -- membership
@@ -106,10 +102,7 @@ class SemiringPair:
         window) on symbolic ones."""
         if self.surpass_fn is not None:
             return self.surpass_fn(b1, b2)
-        if self.surpass_kind == "subset_inclusion":
-            # power-set elements are frozensets of base indices
-            return b1 <= b2
-        # precedes_zero: exists y in A0 with b2 = b1 + y
+        # precedes zero: exists y in A0 with b2 = b1 + y
         for y in self.a0_elements(window):
             if self.add(b1, y) == b2:
                 return True
@@ -123,14 +116,15 @@ class SemiringPair:
 # Admissibility and shallowness
 
 
-def additive_closure(carrier, seeds):
-    """Closure of ``seeds`` under the carrier's addition (finite only)."""
+def additive_closure(add, seeds):
+    """Closure of the collection ``seeds`` under a commutative operation
+    ``add`` that reaches finitely many values."""
     reached = set(seeds)
     frontier = list(seeds)
     while frontier:
         x = frontier.pop()
         for y in list(reached):
-            s = carrier.add(x, y)
+            s = add(x, y)
             if s not in reached:
                 reached.add(s)
                 frontier.append(s)
@@ -169,7 +163,7 @@ def verify_admissible(p, window=DEFAULT_WINDOW):
             report.record("a0-tangible-disjoint", (x,))
 
     if p.finite:
-        reached = additive_closure(p.carrier, set(tang) | {p.zero})
+        reached = additive_closure(p.carrier.add, set(tang) | {p.zero})
         for x in p.elements():
             if x not in reached:
                 report.record("tangible-spanning", (x,))
@@ -484,21 +478,13 @@ def iter_monomials(n_vars, degree_bound):
     return out
 
 
-def _eval_terms(p, terms, point):
-    acc = p.zero
-    for expo, coeff in terms:
-        val = coeff
-        for b, e in zip(point, expo):
-            val = p.mul(val, p.power(b, e))
-        acc = p.add(acc, val)
-    return acc
-
-
 def check_nondegenerate(p, degree_bound=2, n_vars=1, window=8, max_coeffs=4):
     """Every tangible polynomial within the bounds takes a value outside A0
     at some tangible point. Returns NO with a degenerate polynomial witness
     otherwise. For shallow pairs a nondegenerate verdict simultaneously
     certifies that tangible polynomials attain a tangible value."""
+    from .polynomials import Polynomial, poly_eval
+
     tang = p.tangible_elements(window)
     coeffs = tang if p.finite else tang[:max_coeffs]
     monos = iter_monomials(n_vars, degree_bound)
@@ -508,9 +494,10 @@ def check_nondegenerate(p, degree_bound=2, n_vars=1, window=8, max_coeffs=4):
         for support in itertools.combinations(monos, r):
             for cs in itertools.product(coeffs, repeat=r):
                 terms = list(zip(support, cs))
+                f = Polynomial(p, n_vars, terms)
                 hit = None
                 for pt in points:
-                    v = _eval_terms(p, terms, pt)
+                    v = poly_eval(f, pt)
                     if not p.in_a0(v):
                         hit = (pt, v)
                         break

@@ -35,9 +35,6 @@ class Polynomial:
         exp = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(pair, nvars, {exp: pair.carrier.one})
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
@@ -182,15 +179,12 @@ class PolynomialPair:
     def is_tangible(self, f):
         return len(f.terms) == 1 and self.base.is_tangible(next(iter(f.terms.values())))
 
-    def is_shallow_at(self, f):
-        return self.in_a0(f) or self.is_tangible(f)
-
     def enumerate(self, degree, coeffs=None):
         """All polynomials of total degree <= degree with coefficients from
         the given list (defaults to the whole finite carrier)."""
         if coeffs is None:
             coeffs = list(self.base.carrier.elements())
-        monos = [m for m in iter_monomials(self.nvars, degree) if sum(m) <= degree]
+        monos = iter_monomials(self.nvars, degree)
         for choice in itertools.product(coeffs, repeat=len(monos)):
             yield self.poly(dict(zip(monos, choice)))
 
@@ -221,9 +215,7 @@ class PolynomialCarrier(Carrier):
 
     def sample(self, window=8):
         pp = self._pp
-        base = pp.base
-        coeffs = (list(base.carrier.elements()) if base.carrier.finite
-                  else list(base.carrier.sample(max(2, window // 4))))
+        coeffs = list(pp.base.carrier.sample(max(2, window // 4)))
         out = []
         for f in pp.enumerate(1, coeffs=coeffs):
             out.append(f)

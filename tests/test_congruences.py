@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from pairalg import congruences
-from pairalg.congruences import (NO_PAIR_CONGRUENCE, NoPairCongruence,
-                                 classify_congruence, congruence_kernel,
+from pairalg.congruences import (NO_PAIR_CONGRUENCE, Congruence,
+                                 NoPairCongruence, classify_congruence,
+                                 congruence_kernel,
                                  diagonal, enumerate_congruences,
                                  generate_congruence, generated_chain_probe,
                                  intersection_of_primes_above, is_prime,
@@ -12,7 +13,7 @@ from pairalg.congruences import (NO_PAIR_CONGRUENCE, NoPairCongruence,
                                  prime_spectrum_krull, principal_relation,
                                  quotient_pair, radical, twist_product,
                                  verify_pair_homomorphism)
-from pairalg.errors import BoundExhausted
+from pairalg.errors import BoundExhausted, StructureError
 from pairalg.pairs import SemiringPair, verify_admissible
 from pairalg.semirings import FiniteSemiring, boolean_semiring, nmax_trunc
 
@@ -102,6 +103,16 @@ def test_quotient_pair_boolean(bool_pair):
     q = quotient_pair(bool_pair, diagonal(bool_pair))
     assert q.carrier.n == 2
     assert q.admissibility.valid
+
+
+def test_quotient_pair_rejects_a_partition_that_is_no_congruence():
+    # {0, 1} as one class on nmax_trunc(3): 0 * 1 = 1 but 1 * 1 = 2
+    s = nmax_trunc(3)
+    p = SemiringPair(s, [s.zero], range(1, s.n))
+    cls = Congruence(p, [0, 1, 1, 3, 4], require_admissible=False)
+    with pytest.raises(StructureError,
+                       match="induced operation ill-defined on classes"):
+        quotient_pair(p, cls)
 
 
 def test_congruence_kernel_of_sum_map(bool_pair, double_bool):

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as QFraction
 
 import pytest
+
+from pairalg import fractions
 
 from pairalg.errors import PreconditionError, UNKNOWN
 from pairalg.fractions import (LocalizationContext, build_fraction_pair,
@@ -9,7 +12,7 @@ from pairalg.fractions import (LocalizationContext, build_fraction_pair,
                                frac_add, frac_equiv, frac_in_a0,
                                frac_is_tangible, frac_mul)
 from pairalg.pairs import SemiringPair
-from pairalg.semirings import double, nat_plus_times
+from pairalg.semirings import FiniteSemiring, double, nat_plus_times
 
 
 def dyadic_context(window=30):
@@ -101,3 +104,53 @@ def test_finite_fraction_pair(bool_pair):
     fp = build_fraction_pair(bool_pair, [1])
     assert fp.carrier.n == 2
     assert fp.admissibility.valid if hasattr(fp, "admissibility") else True
+
+
+def field_pair(q):
+    s = FiniteSemiring([str(i) for i in range(q)],
+                       [[(i + j) % q for j in range(q)] for i in range(q)],
+                       [[i * j % q for j in range(q)] for i in range(q)], 0, 1)
+    return SemiringPair(s, [0], range(1, q))
+
+
+def boolean_matrices():
+    """2x2 Boolean matrices, entries row by row, and the index of each."""
+    mats = list(itertools.product((0, 1), repeat=4))
+    pos = {m: i for i, m in enumerate(mats)}
+
+    def mul(a, b):
+        return tuple(int(any(a[2 * i + k] and b[2 * k + j] for k in range(2)))
+                     for i in range(2) for j in range(2))
+
+    s = FiniteSemiring(["".join(map(str, m)) for m in mats],
+                       [[pos[tuple(map(max, a, b))] for b in mats] for a in mats],
+                       [[pos[mul(a, b)] for b in mats] for a in mats],
+                       pos[0, 0, 0, 0], pos[1, 0, 0, 1])
+    return SemiringPair(s, [s.zero], range(1, 16)), pos
+
+
+def count_regular_modes(monkeypatch):
+    modes = []
+    check = fractions.check_regular
+
+    def counted(p, s, mode="left", window=30):
+        modes.append(mode)
+        return check(p, s, mode, window)
+
+    monkeypatch.setattr(fractions, "check_regular", counted)
+    return modes
+
+
+def test_ore_runs_right_cancellation_only_off_the_center(monkeypatch):
+    modes = count_regular_modes(monkeypatch)
+    v = check_ore(field_pair(7), range(1, 7))
+    assert v.detail == "central"
+    assert modes == ["left"] * 6
+
+    # the swap matrix is not central
+    p, pos = boolean_matrices()
+    S = [pos[1, 0, 0, 1], pos[0, 1, 1, 0]]
+    modes.clear()
+    v = check_ore(p, S)
+    assert v.detail != "central"
+    assert modes == ["left", "right"] * 2

@@ -18,6 +18,16 @@ def test_free_module_pair_axioms(bool_pair):
     assert verify_module_pair(mp, admissible=True).valid
 
 
+def test_module_pair_tangibles_must_span(bool_pair):
+    mp = free_module_pair(bool_pair, 2)
+    short = ModulePair(bool_pair, mp.elements, mp.add, mp.smul, mp.zero,
+                       mp.n_image, tangibles=[(1, 0)])
+    report = verify_module_pair(short, admissible=True)
+    missed = [v.witness for v in report.violations
+              if v.axiom == "tangible-spanning"]
+    assert missed == [((0, 1),), ((1, 1),)]
+
+
 def test_unit_vectors_form_base(bool_pair):
     mp = free_module_pair(bool_pair, 2)
     out = base_check(mp, unit_vectors(mp, 2))

@@ -1,8 +1,8 @@
 import pytest
 
 from pairalg.errors import BoundExhausted, PreconditionError
-from pairalg.hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, find_isomorphism,
-                           hyper_coset_quotient, krasner_hyperfield,
+from pairalg.hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHyperring,
+                           find_isomorphism, hyper_coset_quotient, krasner_hyperfield,
                            krasner_quotient, powerset_pair,
                            semiring_as_hyperring, verify_semihypergroup,
                            verify_semihyperring)
@@ -70,6 +70,28 @@ def test_powerset_subset_surpassing(krasner):
     by_label = {c.label(x): x for x in c.elements()}
     assert p.surpasses(by_label["{1}"], by_label["{0,1}"])
     assert not p.surpasses(by_label["{0,1}"], by_label["{1}"])
+    # F_5 modulo {1, 4}: three cosets, and all seven nonempty sets of them
+    # are sums of singletons
+    h = krasner_quotient(mod_field(5), [1, 4])
+    for choice in (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO):
+        p = powerset_pair(h, choice)
+        elems = p.carrier.elements()
+        assert len(elems) == 7
+        for x in elems:
+            for y in elems:
+                assert p.surpasses(x, y) == (x <= y)
+
+
+def test_semihyperring_distributivity_violations():
+    # e * e = 1 and e [+] e = {1}: e * (e [+] e) = {e}, but
+    # e*e [+] e*e = 1 [+] 1 = {1}; (e [+] e) * e fails the same way
+    h = SemiHyperring(["0", "1", "e"],
+                      [[{0}, {1}, {2}], [{1}, {1}, {0, 1, 2}],
+                       [{2}, {0, 1, 2}, {1}]],
+                      [[0, 0, 0], [0, 1, 2], [0, 2, 1]], zero=0, one=1)
+    found = {(v.axiom, v.witness) for v in verify_semihyperring(h).violations}
+    assert ("left-distributive", (2, 2, 2)) in found
+    assert ("right-distributive", (2, 2, 2)) in found
 
 
 def test_semiring_as_hyperring_roundtrip(B):

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import sys
 
 import pytest
@@ -11,8 +12,8 @@ from pairalg.semirings import FiniteSemiring, nmax_trunc
 from pairalg.structio import (ParseError, load_structures, parse_structures,
                               serialize_structures)
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "pairalg",
-                        "fixtures")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+FIXTURES = os.path.join(ROOT, "src", "pairalg", "fixtures")
 
 
 def fx(name):
@@ -67,6 +68,36 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+def readme_examples():
+    """The ``pairalg ...`` lines of the README's example block, each split
+    into its arguments and its trailing comment."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        out.append((shlex.split(command), comment.strip()))
+    return out
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    examples = readme_examples()
+    assert len(examples) == 6
+    reports = {}
+    for argv, comment in examples:
+        assert argv[0] == "pairalg"
+        code, report = run(capsys, *argv[1:])
+        assert code == 0, argv
+        reports[argv[1]] = report, comment
+    spectrum, comment = reports["spectrum"]
+    assert comment == "one prime, Krull 0"
+    assert spectrum["prime_count"] == 1 and spectrum["krull_dimension"] == 0
+    hilbert, comment = reports["hilbert"]
+    assert hilbert["coefficients"] == json.loads(comment) == [2, 4, 8, 16, 32]
 
 
 def test_cli_verify_fixture(capsys):
