@@ -17,7 +17,7 @@ from .congruences import (NO_PAIR_CONGRUENCE, NoPairCongruence, diagonal,
                           enumerate_congruences, generate_congruence,
                           prime_spectrum_krull, radical as radical_op)
 from .errors import (BoundExhausted, NO, PairAlgError, PreconditionError,
-                     StructureError, UNKNOWN, YES)
+                     StructureError, UNKNOWN, UnsupportedStructureError, YES)
 from .extensions import ExtensionPair, is_algebraic, is_congruence_algebraic, is_integral
 from .fractions import OreFailure, build_fraction_pair
 from .hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, krasner_quotient,
@@ -248,7 +248,7 @@ def cmd_localize(args):
         raise StructureError("localize expects a finite structure file")
     S = [p.carrier.index(lab) for lab in args.s_subset.split()]
     try:
-        fp = build_fraction_pair(p, S, window=args.window)
+        fp = build_fraction_pair(p, S)
     except OreFailure as exc:
         return emit(args, {"ore": exc.verdict}, "denominator set fails the "
                     "common-multiple condition", EXIT_FAIL)
@@ -396,20 +396,21 @@ def build_parser():
         "congruence spectra, localization, growth.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, structure=True, **extra):
+    def add(name, fn, structure=True, window=False):
         sp = sub.add_parser(name)
         if structure:
             sp.add_argument("structure",
                             help="structure file or builtin name")
-        sp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+        if window:
+            sp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
         sp.add_argument("--json", action="store_true",
                         help="suppress the stderr summary")
         sp.set_defaults(fn=fn)
         return sp
 
-    add("verify", cmd_verify)
-    add("shallow", cmd_shallow)
-    add("property-n", cmd_property_n)
+    add("verify", cmd_verify, window=True)
+    add("shallow", cmd_shallow, window=True)
+    add("property-n", cmd_property_n, window=True)
     add("congruences", cmd_congruences)
     add("spectrum", cmd_spectrum)
     add("krull", cmd_krull)
@@ -418,7 +419,7 @@ def build_parser():
     sp.add_argument("--generators", default="",
                     help="seed pairs 'a,b;c,d' (default: diagonal)")
 
-    sp = add("polyroots", cmd_polyroots)
+    sp = add("polyroots", cmd_polyroots, window=True)
     sp.add_argument("--poly", required=True,
                     help="polynomial such as 'x^2 + 1*x + 4'")
 
@@ -426,7 +427,7 @@ def build_parser():
     sp.add_argument("--s-subset", required=True,
                     help="denominator labels, whitespace separated")
 
-    sp = add("classify-element", cmd_classify_element)
+    sp = add("classify-element", cmd_classify_element, window=True)
     sp.add_argument("--element", required=True,
                     help="polynomial expression for the element")
     sp.add_argument("--degree", type=int, default=3)
@@ -439,7 +440,7 @@ def build_parser():
         sp.add_argument("--matrix-units", type=int)
         sp.add_argument("--kmax", type=int, default=8)
 
-    sp = add("ore-witness", cmd_ore_witness)
+    sp = add("ore-witness", cmd_ore_witness, window=True)
     sp.add_argument("--a1", required=True)
     sp.add_argument("--a2", required=True)
     sp.add_argument("--degree", type=int, default=2)
@@ -468,7 +469,8 @@ def main(argv=None):
     with quiet:
         try:
             return args.fn(args)
-        except (StructureError, PreconditionError) as exc:
+        except (StructureError, PreconditionError,
+                UnsupportedStructureError) as exc:
             print("input error: %s" % exc, file=sys.stderr)
             return EXIT_INPUT
         except BoundExhausted as exc:

@@ -6,15 +6,16 @@ import operator
 
 from .errors import AxiomReport, BoundExhausted, PreconditionError, StructureError
 from .pairs import SemiringPair, additive_closure
-from .semirings import Carrier
+from .semirings import Carrier, Labelled
 
 
-class SemiHypergroup:
+class SemiHypergroup(Labelled):
     """Finite set with a commutative, associative multivalued addition and a
     neutral hyperzero. Table entries are frozensets of element indices."""
 
     def __init__(self, labels, hyperadd, zero, name=""):
-        n = len(labels)
+        super().__init__(labels)
+        n = self.n
         if len(hyperadd) != n or any(len(row) != n for row in hyperadd):
             raise StructureError("hyperadd table is not %dx%d" % (n, n))
         table = []
@@ -28,17 +29,9 @@ class SemiHypergroup:
                     raise StructureError("hyperadd entry out of range")
                 new.append(fs)
             table.append(new)
-        self.labels = list(labels)
         self.hyperadd = table
         self.zero = zero
         self.name = name or "semihypergroup"
-
-    @property
-    def n(self):
-        return len(self.labels)
-
-    def elements(self):
-        return range(self.n)
 
     def hadd(self, x, y):
         return self.hyperadd[x][y]
@@ -49,15 +42,6 @@ class SemiHypergroup:
             for b in s2:
                 out |= self.hadd(a, b)
         return frozenset(out)
-
-    def label(self, x):
-        return self.labels[x]
-
-    def index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise StructureError("unknown element label %r" % (label,)) from None
 
 
 class SemiHyperring(SemiHypergroup):
@@ -229,16 +213,8 @@ def hyper_coset_quotient(h, g):
         cidx[x] = seen[c]
     reps = [min(c) for c in cosets]
 
-    hyperadd = []
-    for c1 in cosets:
-        row = []
-        for c2 in cosets:
-            out = set()
-            for x in c1:
-                for y in c2:
-                    out |= {cidx[z] for z in h.hadd(x, y)}
-            row.append(frozenset(out))
-        hyperadd.append(row)
+    hyperadd = [[frozenset(cidx[z] for z in h.hadd_sets(c1, c2))
+                 for c2 in cosets] for c1 in cosets]
     mul_table = [[cidx[h.mul(reps[i], reps[j])] for j in range(len(cosets))] for i in range(len(cosets))]
     labels = ["[%s]" % h.label(rep) for rep in reps]
     out = SemiHyperring(

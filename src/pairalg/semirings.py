@@ -40,47 +40,17 @@ def twist_product(c, x, y):
             c.add(c.mul(a1, b2), c.mul(b1, a2)))
 
 
-class FiniteSemiring(Carrier):
-    """A finite carrier given by Cayley tables. Elements are indices into
-    ``labels``; the constructor validates shape, not axioms."""
+class Labelled:
+    """Elements 0..n-1, each named by one of distinct ``labels``."""
 
-    finite = True
-
-    def __init__(self, labels, add_table, mul_table, zero, one, name=""):
-        n = len(labels)
-        if len(set(labels)) != n:
-            raise StructureError("duplicate element labels")
-        for which, table in (("add", add_table), ("mul", mul_table)):
-            if len(table) != n or any(len(row) != n for row in table):
-                raise StructureError("%s table is not %dx%d" % (which, n, n))
-            for row in table:
-                for v in row:
-                    if not (0 <= v < n):
-                        raise StructureError("%s table entry %r out of range" % (which, v))
-        if not (0 <= zero < n and 0 <= one < n):
-            raise StructureError("zero/one index out of range")
+    def __init__(self, labels):
         self.labels = list(labels)
-        self.add_table = [list(r) for r in add_table]
-        self.mul_table = [list(r) for r in mul_table]
-        self.zero = zero
-        self.one = one
-        self.name = name or "semiring"
-
-    @property
-    def n(self):
-        return len(self.labels)
+        self.n = len(self.labels)
+        if len(set(self.labels)) != self.n:
+            raise StructureError("duplicate element labels")
 
     def elements(self):
         return range(self.n)
-
-    def sample(self, window=None):
-        return list(self.elements())
-
-    def add(self, x, y):
-        return self.add_table[x][y]
-
-    def mul(self, x, y):
-        return self.mul_table[x][y]
 
     def label(self, x):
         return self.labels[x]
@@ -90,6 +60,40 @@ class FiniteSemiring(Carrier):
             return self.labels.index(label)
         except ValueError:
             raise StructureError("unknown element label %r" % (label,)) from None
+
+
+class FiniteSemiring(Labelled, Carrier):
+    """A finite carrier given by Cayley tables. Elements are indices into
+    ``labels``; the constructor validates shape, not axioms."""
+
+    finite = True
+
+    def __init__(self, labels, add_table, mul_table, zero, one, name=""):
+        super().__init__(labels)
+        n = self.n
+        for which, table in (("add", add_table), ("mul", mul_table)):
+            if len(table) != n or any(len(row) != n for row in table):
+                raise StructureError("%s table is not %dx%d" % (which, n, n))
+            for row in table:
+                for v in row:
+                    if not (0 <= v < n):
+                        raise StructureError("%s table entry %r out of range" % (which, v))
+        if not (0 <= zero < n and 0 <= one < n):
+            raise StructureError("zero/one index out of range")
+        self.add_table = [list(r) for r in add_table]
+        self.mul_table = [list(r) for r in mul_table]
+        self.zero = zero
+        self.one = one
+        self.name = name or "semiring"
+
+    def sample(self, window=None):
+        return list(self.elements())
+
+    def add(self, x, y):
+        return self.add_table[x][y]
+
+    def mul(self, x, y):
+        return self.mul_table[x][y]
 
     def __repr__(self):
         return "FiniteSemiring(%s, n=%d)" % (self.name, self.n)

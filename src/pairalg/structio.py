@@ -19,21 +19,22 @@ class ParseError(StructureError):
 
 def _split_sections(text):
     sections = []
-    current = None
+    entries = None
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        bare = line.lstrip()
+        if not bare:
             continue
-        if line.lstrip().startswith("[") and line.strip().endswith("]"):
-            name = line.strip()[1:-1].strip()
+        if bare[0] == "[" and bare[-1] == "]":
+            name = bare[1:-1].strip()
             if name not in SECTIONS:
                 raise ParseError("unknown section %r" % name, idx)
-            current = {"name": name, "line": idx, "entries": []}
-            sections.append(current)
+            entries = []
+            sections.append({"name": name, "line": idx, "entries": entries})
             continue
-        if current is None:
+        if entries is None:
             raise ParseError("content before any [section] header", idx)
-        current["entries"].append((idx, line))
+        entries.append((idx, line))
     return sections
 
 
@@ -56,7 +57,7 @@ def _section_fields(entries):
             fields[key] = (lineno, value)
             continue
         rows = []
-        while i < len(entries) and entries[i][1][:1] in (" ", "\t"):
+        while i < len(entries) and entries[i][1][0] in " \t":
             rows.append(entries[i])
             i += 1
         if not rows:
@@ -71,59 +72,6 @@ def _require(fields, key, section_line):
     return fields[key]
 
 
-def _parse_table(rows, labels, key):
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    if len(rows) != n:
-        raise ParseError("%s table has %d rows, expected %d" % (key, len(rows), n),
-                         rows[0][0] if rows else 0)
-    table = []
-    for lineno, line in rows:
-        cells = line.split()
-        if len(cells) != n:
-            raise ParseError("%s table row has %d entries, expected %d"
-                             % (key, len(cells), n), lineno)
-        row = []
-        for cell in cells:
-            if cell not in index:
-                raise ParseError("unknown element label %r in %s table"
-                                 % (cell, key), lineno)
-            row.append(index[cell])
-        table.append(row)
-    return table
-
-
-def _parse_subset_table(rows, labels, key):
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    if len(rows) != n:
-        raise ParseError("%s table has %d rows, expected %d" % (key, len(rows), n),
-                         rows[0][0] if rows else 0)
-    table = []
-    for lineno, line in rows:
-        cells = line.split()
-        if len(cells) != n:
-            raise ParseError("%s table row has %d entries, expected %d"
-                             % (key, len(cells), n), lineno)
-        row = []
-        for cell in cells:
-            if not (cell.startswith("{") and cell.endswith("}")):
-                raise ParseError("expected subset literal {a,b}, got %r" % cell,
-                                 lineno)
-            parts = [s for s in cell[1:-1].split(",") if s]
-            if not parts:
-                raise ParseError("empty subset literal in %s table" % key, lineno)
-            members = set()
-            for lab in parts:
-                if lab not in index:
-                    raise ParseError("unknown element label %r in %s table"
-                                     % (lab, key), lineno)
-                members.add(index[lab])
-            row.append(frozenset(members))
-        table.append(row)
-    return table
-
-
 def _scalar(fields, key, section_line):
     lineno, value = _require(fields, key, section_line)
     if isinstance(value, list):
@@ -131,17 +79,68 @@ def _scalar(fields, key, section_line):
     return lineno, value
 
 
-def _label_list(fields, key, labels, section_line, allow_missing=False):
-    if allow_missing and key not in fields:
-        return []
-    lineno, value = _scalar(fields, key, section_line)
-    index = {lab: i for i, lab in enumerate(labels)}
-    out = []
-    for lab in value.split():
+def _lookup(labs, index, where, lineno):
+    """Positions of ``labs``; an unknown label is reported as in ``where``."""
+    try:
+        return list(map(index.__getitem__, labs))
+    except KeyError as exc:
+        raise ParseError("unknown element label %r in %s"
+                         % (exc.args[0], where), lineno) from None
+
+
+def _subset_row(cells, index, where, lineno):
+    row = []
+    for cell in cells:
+        if not (cell.startswith("{") and cell.endswith("}")):
+            raise ParseError("expected subset literal {a,b}, got %r" % cell,
+                             lineno)
+        parts = [s for s in cell[1:-1].split(",") if s]
+        if not parts:
+            raise ParseError("empty subset literal in %s" % where, lineno)
+        row.append(frozenset(_lookup(parts, index, where, lineno)))
+    return row
+
+
+def _tables(fields, keys, labels, index, read_row, section_line):
+    """The n x n tables under ``keys``, each row converted by ``read_row``
+    (``_lookup`` or ``_subset_row``) once its length is checked."""
+    values = [_require(fields, key, section_line)[1] for key in keys]
+    if not all(isinstance(rows, list) for rows in values):
+        raise ParseError("add/mul must be tables", section_line)
+    n = len(labels)
+    tables = []
+    for key, rows in zip(keys, values):
+        if len(rows) != n:
+            raise ParseError("%s table has %d rows, expected %d"
+                             % (key, len(rows), n), rows[0][0])
+        table, where = [], "%s table" % key
+        for lineno, line in rows:
+            cells = line.split()
+            if len(cells) != n:
+                raise ParseError("%s table row has %d entries, expected %d"
+                                 % (key, len(cells), n), lineno)
+            table.append(read_row(cells, index, where, lineno))
+        tables.append(table)
+    return tables
+
+
+def _elements(fields, keys, index, section_line):
+    """Positions of the single labels under ``keys`` (zero, one); every key
+    is read before any label is looked up."""
+    values = [_scalar(fields, key, section_line) for key in keys]
+    for key, (lineno, lab) in zip(keys, values):
         if lab not in index:
-            raise ParseError("unknown element label %r in %r" % (lab, key), lineno)
-        out.append(index[lab])
-    return out
+            raise ParseError("%s label %r not among elements" % (key, lab),
+                             lineno)
+    return [index[lab] for _, lab in values]
+
+
+def _header(fields, default_name, section_line):
+    """The labels, the position of each and the name of a [semiring] or
+    [hyper] section."""
+    labels = _scalar(fields, "elements", section_line)[1].split()
+    _, name = fields.get("name", (section_line, default_name))
+    return labels, dict(zip(labels, range(len(labels)))), name
 
 
 def parse_structures(text):
@@ -152,52 +151,37 @@ def parse_structures(text):
         fields = _section_fields(section["entries"])
         sline = section["line"]
         if section["name"] == "semiring":
-            _, labels_value = _scalar(fields, "elements", sline)
-            labels = labels_value.split()
-            _, name = fields.get("name", (sline, "semiring"))
-            zline, zero = _scalar(fields, "zero", sline)
-            oline, one = _scalar(fields, "one", sline)
-            if zero not in labels:
-                raise ParseError("zero label %r not among elements" % zero, zline)
-            if one not in labels:
-                raise ParseError("one label %r not among elements" % one, oline)
-            add_rows = _require(fields, "add", sline)[1]
-            mul_rows = _require(fields, "mul", sline)[1]
-            if not isinstance(add_rows, list) or not isinstance(mul_rows, list):
-                raise ParseError("add/mul must be tables", sline)
-            out["semiring"] = FiniteSemiring(
-                labels,
-                _parse_table(add_rows, labels, "add"),
-                _parse_table(mul_rows, labels, "mul"),
-                labels.index(zero), labels.index(one), name=name)
+            labels, index, name = _header(fields, "semiring", sline)
+            zero, one = _elements(fields, ("zero", "one"), index, sline)
+            add, mul = _tables(fields, ("add", "mul"), labels, index,
+                               _lookup, sline)
+            out["semiring"] = FiniteSemiring(labels, add, mul, zero, one,
+                                             name=name)
+            semiring_index = index
         elif section["name"] == "pair":
             if "semiring" not in out:
                 raise ParseError("[pair] requires a preceding [semiring]", sline)
             s = out["semiring"]
-            a0 = _label_list(fields, "a0", s.labels, sline)
-            tang = _label_list(fields, "tangibles", s.labels, sline)
-            out["pair"] = SemiringPair(s, a0=sorted(a0), tangibles=sorted(tang),
-                                       name=s.name)
+            lists = []
+            for key in ("a0", "tangibles"):
+                lineno, value = _scalar(fields, key, sline)
+                lists.append(sorted(_lookup(value.split(), semiring_index,
+                                            repr(key), lineno)))
+            out["pair"] = SemiringPair(s, *lists, name=s.name)
         elif section["name"] == "hyper":
-            _, labels_value = _scalar(fields, "elements", sline)
-            labels = labels_value.split()
-            _, name = fields.get("name", (sline, "semihyperring"))
-            zline, zero = _scalar(fields, "zero", sline)
-            if zero not in labels:
-                raise ParseError("zero label %r not among elements" % zero, zline)
-            add_rows = _require(fields, "add", sline)[1]
-            hyperadd = _parse_subset_table(add_rows, labels, "add")
+            labels, index, name = _header(fields, "semihyperring", sline)
+            zero, = _elements(fields, ("zero",), index, sline)
+            hyperadd, = _tables(fields, ("add",), labels, index, _subset_row,
+                                sline)
             if "mul" in fields:
-                oline, one = _scalar(fields, "one", sline)
-                if one not in labels:
-                    raise ParseError("one label %r not among elements" % one, oline)
-                mul = _parse_table(fields["mul"][1], labels, "mul")
-                out["hyper"] = SemiHyperring(labels, hyperadd, mul,
-                                             labels.index(zero),
-                                             labels.index(one), name=name)
+                one, = _elements(fields, ("one",), index, sline)
+                mul, = _tables(fields, ("mul",), labels, index, _lookup,
+                               sline)
+                out["hyper"] = SemiHyperring(labels, hyperadd, mul, zero, one,
+                                             name=name)
             else:
-                out["hyper"] = SemiHypergroup(labels, hyperadd,
-                                              labels.index(zero), name=name)
+                out["hyper"] = SemiHypergroup(labels, hyperadd, zero,
+                                              name=name)
     if not out:
         raise StructureError("no sections found")
     return out
@@ -208,17 +192,22 @@ def load_structures(path):
         return parse_structures(fh.read())
 
 
-def _table_lines(table, labels):
-    return ["  " + " ".join(labels[v] for v in row) for row in table]
-
-
-def _subset_table_lines(table, labels):
-    lines = []
-    for row in table:
-        cells = ["{%s}" % ",".join(labels[v] for v in sorted(cell))
-                 for cell in row]
-        lines.append("  " + " ".join(cells))
-    return lines
+def _carrier_text(section, c, add_table, add_cell=None):
+    """A [semiring] or [hyper] section; ``one`` and ``mul`` only if ``c``
+    has a mul table, add cells by ``add_cell`` (default: the label)."""
+    label = c.labels.__getitem__
+    lines = ["[%s]" % section,
+             "name = %s" % c.name,
+             "elements = %s" % " ".join(c.labels),
+             "zero = %s" % label(c.zero)]
+    tables = [("add", add_table, add_cell or label)]
+    if hasattr(c, "mul_table"):
+        lines.append("one = %s" % label(c.one))
+        tables.append(("mul", c.mul_table, label))
+    for key, table, cell in tables:
+        lines.append("%s =" % key)
+        lines += ["  " + " ".join(map(cell, row)) for row in table]
+    return "\n".join(lines)
 
 
 def serialize_structures(structs):
@@ -227,35 +216,16 @@ def serialize_structures(structs):
     chunks = []
     if "semiring" in structs:
         s = structs["semiring"]
-        lines = ["[semiring]",
-                 "name = %s" % s.name,
-                 "elements = %s" % " ".join(s.labels),
-                 "zero = %s" % s.labels[s.zero],
-                 "one = %s" % s.labels[s.one],
-                 "add ="]
-        lines += _table_lines(s.add_table, s.labels)
-        lines.append("mul =")
-        lines += _table_lines(s.mul_table, s.labels)
-        chunks.append("\n".join(lines))
+        chunks.append(_carrier_text("semiring", s, s.add_table))
     if "pair" in structs:
         p = structs["pair"]
-        s = p.carrier
-        lines = ["[pair]",
-                 "a0 = %s" % " ".join(s.labels[i] for i in p.a0_elements()),
-                 "tangibles = %s" % " ".join(s.labels[i]
-                                             for i in p.tangible_elements())]
-        chunks.append("\n".join(lines))
+        label = p.carrier.label
+        chunks.append("[pair]\na0 = %s\ntangibles = %s" % (
+            " ".join(map(label, p.a0_elements())),
+            " ".join(map(label, p.tangible_elements()))))
     if "hyper" in structs:
         h = structs["hyper"]
-        lines = ["[hyper]",
-                 "name = %s" % h.name,
-                 "elements = %s" % " ".join(h.labels),
-                 "zero = %s" % h.labels[h.zero],
-                 "add ="]
-        lines += _subset_table_lines(h.hyperadd, h.labels)
-        if isinstance(h, SemiHyperring):
-            lines.insert(4, "one = %s" % h.labels[h.one])
-            lines.append("mul =")
-            lines += _table_lines(h.mul_table, h.labels)
-        chunks.append("\n".join(lines))
+        chunks.append(_carrier_text(
+            "hyper", h, h.hyperadd,
+            lambda cell: "{%s}" % ",".join(map(h.label, sorted(cell)))))
     return "\n\n".join(chunks) + "\n"

@@ -7,10 +7,13 @@ import pytest
 
 from pairalg import cli
 from pairalg.cli import main
+from pairalg.errors import StructureError
+from pairalg.hyper import SemiHypergroup
 from pairalg.pairs import SemiringPair
 from pairalg.semirings import FiniteSemiring, nmax_trunc
 from pairalg.structio import (ParseError, load_structures, parse_structures,
                               serialize_structures)
+from test_fractions import boolean_matrices
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FIXTURES = os.path.join(ROOT, "src", "pairalg", "fixtures")
@@ -58,6 +61,76 @@ def test_unknown_label_rejected():
 def test_unknown_section_rejected():
     with pytest.raises(ParseError):
         parse_structures("[conference]\nname = x\n")
+
+
+def edited(name, edits):
+    """A fixture's text with the numbered lines replaced; an empty
+    replacement blanks the line, so later lines keep their numbers."""
+    with open(fx(name)) as fh:
+        lines = fh.read().split("\n")
+    for lineno, new in edits.items():
+        lines[lineno - 1] = new
+    return "\n".join(lines)
+
+
+B, K = "boolean.pair", "krasner.hyper"
+BLANK_SEMIRING = dict.fromkeys(range(1, 12), "")
+
+
+@pytest.mark.parametrize("name, edits, message", [
+    (B, {1: "x = 1"}, "line 1: content before any [section] header"),
+    (B, {13: "[conference]"}, "line 13: unknown section 'conference'"),
+    (B, {3: "elements 0 1"}, "line 3: expected 'key = value', got 'elements 0 1'"),
+    (B, {5: "zero = 1"}, "line 5: duplicate key 'zero'"),
+    (B, {7: "", 8: ""}, "line 6: key 'add' has no value and no table rows"),
+    (B, {3: ""}, "line 1: missing required key 'elements'"),
+    (B, {4: "zero =", 5: "  0"}, "line 4: key 'zero' expects a single value, not a table"),
+    (B, {4: "zero = z"}, "line 4: zero label 'z' not among elements"),
+    (B, {5: "one = z"}, "line 5: one label 'z' not among elements"),
+    # both keys are read before either label is looked up
+    (B, {4: "zero = z", 5: ""}, "line 1: missing required key 'one'"),
+    (B, {8: "  1 1\n  1 1"}, "line 7: add table has 3 rows, expected 2"),
+    (B, {10: "  0 0 0"}, "line 10: mul table row has 3 entries, expected 2"),
+    (B, {8: "  1 q"}, "line 8: unknown element label 'q' in add table"),
+    (B, {9: "mul = 0", 10: "", 11: ""}, "line 1: add/mul must be tables"),
+    (B, {7: "  0 q", 11: "  q 1"}, "line 7: unknown element label 'q' in add table"),
+    (B, BLANK_SEMIRING, "line 13: [pair] requires a preceding [semiring]"),
+    (B, {14: "a0 = 0 q"}, "line 14: unknown element label 'q' in 'a0'"),
+    (B, {15: ""}, "line 13: missing required key 'tangibles'"),
+    (K, {7: "  {0} 1"}, "line 7: expected subset literal {a,b}, got '1'"),
+    (K, {7: "  {0} {1} {1}"}, "line 7: add table row has 3 entries, expected 2"),
+    (K, {8: "  {1} {,}"}, "line 8: empty subset literal in add table"),
+    (K, {8: "  {1} {0,q}"}, "line 8: unknown element label 'q' in add table"),
+    (K, {11: "  0 q"}, "line 11: unknown element label 'q' in mul table"),
+    (K, {5: ""}, "line 1: missing required key 'one'"),
+    # [hyper] looks zero up first and reads one only after the add table
+    (K, {4: "zero = z", 5: ""}, "line 4: zero label 'z' not among elements"),
+    (K, {5: "", 8: "  {1} {0,q}"}, "line 8: unknown element label 'q' in add table"),
+])
+def test_parse_errors_name_their_line(name, edits, message):
+    with pytest.raises(ParseError) as exc:
+        parse_structures(edited(name, edits))
+    assert str(exc.value) == message
+    assert exc.value.line == int(message.split()[1].rstrip(":"))
+
+
+@pytest.mark.parametrize("edits", [
+    {6: "add = {0}", 7: "", 8: ""},
+    {9: "mul = 0", 10: "", 11: ""},
+])
+def test_hyper_tables_must_be_tables(edits):
+    with pytest.raises(ParseError) as exc:
+        parse_structures(edited(K, edits))
+    assert str(exc.value) == "line 1: add/mul must be tables"
+
+
+def test_hyper_labels_must_be_distinct():
+    text = edited(K, {3: "elements = 0 0", 5: "one = 0", 7: "  {0} {0}",
+                      8: "  {0} {0}", 10: "  0 0", 11: "  0 0"})
+    with pytest.raises(StructureError, match="^duplicate element labels$"):
+        parse_structures(text)
+    with pytest.raises(StructureError, match="^duplicate element labels$"):
+        SemiHypergroup(["a", "a"], [[{0}, {1}], [{1}, {0}]], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +225,22 @@ def test_cli_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_window_only_where_it_is_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "boolean", "--window", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window 5" in capsys.readouterr().err
+
+
+def test_cli_radical_noncommutative_is_input_error(tmp_path, capsys):
+    p, _ = boolean_matrices()
+    path = tmp_path / "bmat2.pair"
+    path.write_text(serialize_structures({"semiring": p.carrier, "pair": p}))
+    assert main(["radical", str(path)]) == 2
+    assert capsys.readouterr().err == ("input error: twist-power radical is "
+                                       "defined for commutative carriers only\n")
 
 
 def test_cli_ore_witness(capsys):
