@@ -87,27 +87,22 @@ class Polynomial:
         return "Polynomial(%s)" % " + ".join(bits)
 
 
-def _sum_terms(f, power):
-    """sum of f's terms, each coefficient times power(i, k) for the
-    variables i of its monomial with exponent k > 0, in term order."""
-    c = f.pair.carrier
-    total = c.zero
-    for exp, v in f.terms.items():
-        term = v
-        for i, k in enumerate(exp):
-            if k:
-                term = c.mul(term, power(i, k))
-        total = c.add(total, term)
-    return total
-
-
 def poly_eval(f, point):
-    """Evaluation homomorphism at a carrier tuple."""
+    """Evaluation homomorphism at a carrier tuple: the sum, from zero and in
+    term order, of each coefficient times the powers of its variables with
+    exponent k > 0, in variable order."""
     point = tuple(point)
     if len(point) != f.nvars:
         raise PreconditionError("point arity mismatch")
     c = f.pair.carrier
-    return _sum_terms(f, lambda i, k: c.power(point[i], k))
+    total = c.zero
+    for exp, v in f.terms.items():
+        term = v
+        for b, k in zip(point, exp):
+            if k:
+                term = c.mul(term, c.power(b, k))
+        total = c.add(total, term)
+    return total
 
 
 def functional_equal(f, g, domain):
@@ -122,13 +117,31 @@ def is_tangible_poly(f):
 
 def find_preceq_roots(f, domain):
     """Tuples from the domain where the value lands in A0, in scan order.
-    The powers of each domain element are computed once."""
+    Each term's coefficient times the powers of the first nvars - 1
+    coordinates is formed once per prefix; each point then takes one product
+    per term with a nonzero last exponent, and the sum. Products and sums
+    associate as in ``poly_eval``, so the roots need no semiring law."""
+    if not f.nvars:
+        return [()] if f.pair.in_a0(poly_eval(f, ())) else []
     c = f.pair.carrier
+    add, mul, in_a0, zero = c.add, c.mul, f.pair.in_a0, c.zero
     table = [(b, [c.power(b, k) for k in range(f.degree() + 1)]) for b in domain]
+    terms = [(v, [(i, k) for i, k in enumerate(exp[:-1]) if k], exp[-1])
+             for exp, v in f.terms.items()]
     roots = []
-    for pt in itertools.product(table, repeat=f.nvars):
-        if f.pair.in_a0(_sum_terms(f, lambda i, k: pt[i][1][k])):
-            roots.append(tuple(b for b, _ in pt))
+    for prefix in itertools.product(table, repeat=f.nvars - 1):
+        heads = []
+        for v, lead, last in terms:
+            for i, k in lead:
+                v = mul(v, prefix[i][1][k])
+            heads.append((v, last))
+        start = tuple(b for b, _ in prefix)
+        for b, powers in table:
+            total = zero
+            for v, k in heads:
+                total = add(total, mul(v, powers[k]) if k else v)
+            if in_a0(total):
+                roots.append(start + (b,))
     return roots
 
 

@@ -139,7 +139,8 @@ def _header(fields, default_name, section_line):
     """The labels, the position of each and the name of a [semiring] or
     [hyper] section."""
     labels = _scalar(fields, "elements", section_line)[1].split()
-    _, name = fields.get("name", (section_line, default_name))
+    name = (_scalar(fields, "name", section_line)[1] if "name" in fields
+            else default_name)
     return labels, dict(zip(labels, range(len(labels)))), name
 
 
@@ -179,6 +180,9 @@ def parse_structures(text):
                                sline)
                 out["hyper"] = SemiHyperring(labels, hyperadd, mul, zero, one,
                                              name=name)
+            elif "one" in fields:
+                raise ParseError("key 'one' needs a mul table",
+                                 fields["one"][0])
             else:
                 out["hyper"] = SemiHypergroup(labels, hyperadd, zero,
                                               name=name)

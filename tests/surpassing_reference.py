@@ -5,8 +5,8 @@ test that evaluates both candidate polynomials at y for every pair and at
 every base point again, and the root scan that evaluates each point with
 ``poly_eval``. The bodies are those of the library before the change, with
 the ``window`` default spelled out; ``poly_eval`` and the evaluation at y
-are copied in too, since the library now shares their term loop with the
-table-driven scans."""
+are copied in too, so that the references stay fixed while the library's
+scans change."""
 
 import itertools
 

@@ -106,6 +106,11 @@ BLANK_SEMIRING = dict.fromkeys(range(1, 12), "")
     # [hyper] looks zero up first and reads one only after the add table
     (K, {4: "zero = z", 5: ""}, "line 4: zero label 'z' not among elements"),
     (K, {5: "", 8: "  {1} {0,q}"}, "line 8: unknown element label 'q' in add table"),
+    (B, {2: "name =\n  x y"}, "line 2: key 'name' expects a single value, not a table"),
+    (K, {2: "name =\n  x y"}, "line 2: key 'name' expects a single value, not a table"),
+    # without a mul table, one is refused whatever its label
+    (K, {9: "", 10: "", 11: ""}, "line 5: key 'one' needs a mul table"),
+    (K, {5: "one = zz", 9: "", 10: "", 11: ""}, "line 5: key 'one' needs a mul table"),
 ])
 def test_parse_errors_name_their_line(name, edits, message):
     with pytest.raises(ParseError) as exc:
@@ -122,6 +127,12 @@ def test_hyper_tables_must_be_tables(edits):
     with pytest.raises(ParseError) as exc:
         parse_structures(edited(K, edits))
     assert str(exc.value) == "line 1: add/mul must be tables"
+
+
+def test_hyper_without_mul_is_a_semihypergroup():
+    h = parse_structures(edited(K, {5: "", 9: "", 10: "", 11: ""}))["hyper"]
+    assert type(h) is SemiHypergroup
+    assert h.name == "krasner" and h.labels == ["0", "1"]
 
 
 def test_hyper_labels_must_be_distinct():

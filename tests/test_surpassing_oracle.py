@@ -13,8 +13,9 @@ from pairalg.extensions import ExtensionPair, is_congruence_algebraic
 from pairalg.pairs import SemiringPair, verify_surpassing
 from pairalg.polynomials import (Polynomial, build_polynomial_pair,
                                  find_preceq_roots, parse_poly)
-from pairalg.semirings import (ST_ZERO, double, nat_plus_times, nmax_trunc,
-                               supertropical_integers, supertropical_naturals)
+from pairalg.semirings import (ST_ZERO, FiniteSemiring, double, nat_plus_times,
+                               nmax_trunc, supertropical_integers,
+                               supertropical_naturals)
 from pairalg.structio import load_structures
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "pairalg",
@@ -126,12 +127,25 @@ def test_congruence_algebraic_matches_reference(p, window, degree):
         assert is_congruence_algebraic(ext, y, degree_bound=degree, **kw) == want
 
 
+def skew_pair():
+    """Three elements whose addition is neither associative nor commutative
+    and whose one is no unit, so that reordering the products or sums of
+    an evaluation changes the roots."""
+    s = FiniteSemiring(["a", "b", "c"], [[1, 2, 0], [0, 1, 0], [2, 0, 1]],
+                       [[0, 1, 2], [1, 0, 2], [2, 1, 0]], zero=0, one=1,
+                       name="skew")
+    return SemiringPair(s, [0], [1], name="skew")
+
+
+SKEW_LITERALS = ("x^2*y + c*x*y^2 + b*y + c", "c*x*z^2 + b*y^2*z + x*y + b")
+
 ROOT_CASES = (
     [case(n, fixture_pair(n), lit) for n in FIXTURE_NAMES
      for lit in ("x^2 + x", "x*y + x + y", "x^3 + x^2*y + y^2")]
     + [case(n, BUILTINS[n](), lit) for n in ("stn", "stz")
        for lit in ("x^2 + 1*x + 4", "1v*x^2 + 3", "x*y + 2*x + 3",
-                   "x^2*y + 3v*x*y^2 + 1", "2v*x + 1", "z*x^2 + y")])
+                   "x^2*y + 3v*x*y^2 + 1", "2v*x + 1", "z*x^2 + y")]
+    + [case("skew", skew_pair(), lit) for lit in SKEW_LITERALS])
 
 
 @pytest.mark.parametrize("p, literal", ROOT_CASES)
@@ -140,6 +154,26 @@ def test_roots_match_reference(p, literal):
     for window in (1, 3):
         domain = p.elements(window)
         assert find_preceq_roots(f, domain) == ref.find_preceq_roots(f, domain)
+
+
+def test_root_scan_multiplies_once_per_prefix_and_last_power(monkeypatch):
+    p = skew_pair()
+    f = parse_poly(p, SKEW_LITERALS[0])
+    calls = []
+    mul = p.carrier.mul
+
+    def counted(x, y):
+        calls.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(p.carrier, "mul", counted)
+    domain = p.elements(None)
+    assert find_preceq_roots(f, domain)
+    n = len(domain)
+    # powers 0..3 of each element (degree 3: 0 + 1 + 2 + 3 products); the x
+    # factor of x^2*y and c*x*y^2 once per x; the y factor of the three terms
+    # with y once per point
+    assert len(calls) == n * 6 + n * 2 + n ** 2 * 3
 
 
 def test_congruence_algebraic_evaluates_each_candidate_at_y_once(monkeypatch):
