@@ -23,7 +23,7 @@ from .fractions import OreFailure, build_fraction_pair
 from .hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, krasner_quotient,
                     powerset_pair, verify_semihypergroup, verify_semihyperring)
 from .pairs import is_shallow, property_n_status, verify_admissible
-from .polynomials import (Polynomial, build_polynomial_pair, find_preceq_roots,
+from .polynomials import (Polynomial, PolynomialPair, find_preceq_roots,
                           parse_poly)
 from .semirings import (boolean_semiring, double, nmax_trunc, nat_plus_times,
                         supertropical_extension, supertropical_integers,
@@ -267,7 +267,7 @@ def cmd_localize(args):
 
 def cmd_classify_element(args):
     p = need(load_input(args.structure), "pair", args.structure)
-    polypair = build_polynomial_pair(p, nvars=1)
+    polypair = PolynomialPair(p)
     ext = ExtensionPair(p, polypair,
                         embed=lambda a: Polynomial.constant(p, 1, a))
     y = parse_poly(p, args.element)
@@ -358,14 +358,12 @@ def cmd_krasner(args):
     if not s.finite:
         raise StructureError("krasner expects a finite semiring")
     g = [s.index(lab) for lab in args.subgroup.split()]
+    # a quotient that fails the axioms raises, so the report is valid
     h = krasner_quotient(s, g)
-    rep = verify_semihyperring(h)
     return emit(args, {"subgroup": args.subgroup,
                        "quotient": serialize_structures({"hyper": h}),
-                       "verify": rep},
-                "quotient has %d classes, %s" % (h.n, "valid" if rep.valid
-                                                 else "INVALID"),
-                EXIT_OK if rep.valid else EXIT_FAIL)
+                       "verify": h.verification},
+                "quotient has %d classes, valid" % h.n, EXIT_OK)
 
 
 def cmd_powerset(args):

@@ -356,10 +356,10 @@ def classify_congruence(cong, lattice=None):
     return out
 
 
-def radical(cong, check=True):
+def radical(cong):
     """Twist-power radical: pairs with some twist power inside, then closed
     to a congruence. Returns NO_PAIR_CONGRUENCE when the closure escapes
-    into T x A0. With check=True on small carriers, asserts semiprimeness
+    into T x A0. On carriers of at most 5 elements, asserts semiprimeness
     and agreement with the intersection of primes above."""
     p = cong.pair
     if len(cong.index.tables) == 3:
@@ -381,7 +381,7 @@ def radical(cong, check=True):
         rad = generate_congruence(p, members)
     except NoPairCongruence:
         return NO_PAIR_CONGRUENCE
-    if check and len(elems) <= 5:
+    if len(elems) <= 5:
         assert cong <= rad
         assert is_semiprime(rad)
         lattice = enumerate_congruences(p)
@@ -495,12 +495,12 @@ def _longest_chain(primes):
     return max((depth(i) for i in range(len(primes))), default=0) - 1
 
 
-def prime_spectrum_krull(p, max_elems=64):
+def prime_spectrum_krull(p):
     """Prime congruences and Krull dimension of a finite pair. Also checks
     that every semiprime congruence is an intersection of a nonempty set of
     primes, and vice versa. The classification of the whole lattice shares
     one budget of MAX_TWIST_PRODUCTS."""
-    lattice = enumerate_congruences(p, max_elems)
+    lattice = enumerate_congruences(p)
     work = _Work()
     primes = [c for c in lattice if is_prime(c, work)]
     semiprimes = {c.cls for c in lattice if is_semiprime(c, work)}
@@ -573,9 +573,9 @@ def quotient_pair(p, cong):
     return q
 
 
-def verify_pair_homomorphism(f, src, dst, check_a0=True, check_tangibles=False):
-    """Checks f : src -> dst preserves 0, 1, +, x. Preservation of A0 and
-    of tangibles can be toggled; a plain carrier homomorphism needs neither."""
+def verify_pair_homomorphism(f, src, dst, check_a0=True):
+    """Checks f : src -> dst preserves 0, 1, +, x, and A0 unless check_a0 is
+    off, as for a plain carrier homomorphism."""
     if not (src.carrier.finite and dst.carrier.finite):
         raise PreconditionError("homomorphism check needs finite carriers")
     s, d = src.carrier, dst.carrier
@@ -584,8 +584,6 @@ def verify_pair_homomorphism(f, src, dst, check_a0=True, check_tangibles=False):
     for a in s.elements():
         if check_a0 and src.in_a0(a) and not dst.in_a0(f(a)):
             raise PreconditionError("A0 not preserved at %r" % (a,))
-        if check_tangibles and src.is_tangible(a) and not dst.is_tangible(f(a)):
-            raise PreconditionError("tangibles not preserved at %r" % (a,))
         for b in s.elements():
             if f(s.add(a, b)) != d.add(f(a), f(b)):
                 raise PreconditionError("additivity fails at %r" % ((a, b),))
@@ -594,12 +592,12 @@ def verify_pair_homomorphism(f, src, dst, check_a0=True, check_tangibles=False):
     return True
 
 
-def congruence_kernel(f, src, dst, check=True, check_a0=True):
-    """{(y1, y2) : f(y1) = f(y2)}. Always a congruence of the carrier; may
-    fail pair-admissibility, which is reported through the admissible flag
+def congruence_kernel(f, src, dst, check_a0=True):
+    """{(y1, y2) : f(y1) = f(y2)} of a homomorphism f, checked first with
+    verify_pair_homomorphism. Always a congruence of the carrier; may fail
+    pair-admissibility, which is reported through the admissible flag
     rather than raised."""
-    if check:
-        verify_pair_homomorphism(f, src, dst, check_a0=check_a0)
+    verify_pair_homomorphism(f, src, dst, check_a0=check_a0)
     ix = _Index(src)
     cls = _canonical(f(a) for a in ix.elems)
     if _close(ix, enumerate(cls), stop=False) != cls:
@@ -611,12 +609,13 @@ def congruence_kernel(f, src, dst, check=True, check_a0=True):
 # Levitzki-style sequence
 
 
-def levitzki_sequence(cong, start, max_steps=64):
+def levitzki_sequence(cong, start):
     """Follows the s-sequence s -> s * a * s (a chosen so the product stays
-    outside the congruence). On a finite carrier it either cycles, showing
-    the start generates an endless sequence, or terminates at an element
-    whose sandwich products all fall inside: a semiprimeness violation
-    witness when that element is outside the congruence."""
+    outside the congruence) for at most 64 steps. On a finite carrier it
+    either cycles, showing the start generates an endless sequence, or
+    terminates at an element whose sandwich products all fall inside: a
+    semiprimeness violation witness when that element is outside the
+    congruence."""
     c = cong.pair.carrier
     elems = list(c.elements())
     cross = [(a, b) for a in elems for b in elems]
@@ -624,7 +623,7 @@ def levitzki_sequence(cong, start, max_steps=64):
         raise PreconditionError("start the sequence outside the congruence")
     seq = [start]
     seen = {start}
-    for _ in range(max_steps):
+    for _ in range(64):
         s = seq[-1]
         sandwiches = (twist_product(c, twist_product(c, s, a), s) for a in cross)
         nxt = next((w for w in sandwiches if w not in cong), None)

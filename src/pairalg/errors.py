@@ -76,10 +76,6 @@ class Verdict:
     def __bool__(self):
         return self.status == YES
 
-    @property
-    def known(self):
-        return self.status != UNKNOWN
-
     def as_json(self):
         return {
             "status": self.status,

@@ -73,15 +73,11 @@ class ExtensionPair:
         return total
 
 
-def is_integral(ext, y, degree_bound=3, window=20, tangible_only=False):
+def is_integral(ext, y, degree_bound=3, window=20):
     """Search for a0..a_{n-1} in the base with sum a_i y^i below y^n in the
-    surpassing order; minimal n, lexicographically first witness. The
-    tangible_only variant restricts coefficients to T plus 0."""
+    surpassing order; minimal n, lexicographically first witness."""
     p = ext.ext
-    if tangible_only:
-        base = [ext.base.carrier.zero] + ext.base.tangible_elements(window)
-    else:
-        base = ext.base_sample(window)
+    base = ext.base_sample(window)
     complete = ext.base.carrier.finite
     unknown = False
     powers = ext.powers(y, degree_bound)
@@ -132,7 +128,7 @@ def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=20):
     return Verdict(NO if ext.base.carrier.finite else UNKNOWN, bound=degree_bound)
 
 
-def is_congruence_algebraic(ext, y, degree_bound=2, window=12, coeffs=None):
+def is_congruence_algebraic(ext, y, degree_bound=2, window=12):
     """Transcendence test per the functional definition: y is congruence
     algebraic when some f1(y) dominating f2(y) fails to dominate at a base
     point. Returns the violating (f1, f2, b) as certificate. Each candidate
@@ -140,13 +136,12 @@ def is_congruence_algebraic(ext, y, degree_bound=2, window=12, coeffs=None):
     needed there."""
     p = ext.ext
     base_pair = ext.base
-    pool = coeffs if coeffs is not None else ext.base_sample(window)
     base_pts = ext.base_sample(window)
     monos = [(k,) for k in range(degree_bound + 1)]
     powers = ext.powers(y, degree_bound)
     unknown = False
     polys, at_y = [], []
-    for choice in itertools.product(pool, repeat=len(monos)):
+    for choice in itertools.product(base_pts, repeat=len(monos)):
         polys.append(Polynomial(base_pair, 1, dict(zip(monos, choice))))
         at_y.append(ext.eval_poly(choice, powers))
     at_point = {}

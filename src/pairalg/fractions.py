@@ -193,7 +193,7 @@ def frac_mul(x, y):
     raise PreconditionError("no Ore witness for multiplication within bound")
 
 
-def frac_in_a0(x, window=None):
+def frac_in_a0(x):
     """Membership in S^-1 A0: equivalent to some fraction with quasi-zero
     numerator. The numerator of an equivalent representative suffices on
     central contexts; otherwise a bounded search runs."""
@@ -202,14 +202,14 @@ def frac_in_a0(x, window=None):
     if p.in_a0(x.b):
         return Verdict(YES)
     c = p.carrier
-    for b0 in p.a0_elements(window or ctx.window):
+    for b0 in p.a0_elements(ctx.window):
         for s in ctx.s_elements:
             if frac_equiv(x, ctx.fraction(b0, s)):
                 return Verdict(YES, witness=(b0, s))
     return Verdict(NO) if c.finite else Verdict(UNKNOWN, detail="bounded search")
 
 
-def frac_is_tangible(x, window=None):
+def frac_is_tangible(x):
     ctx = x.ctx
     p = ctx.pair
     if p.is_tangible(x.b):

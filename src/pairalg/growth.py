@@ -167,18 +167,17 @@ def base_check(mp, S, coeff_pool=None):
     }
 
 
-def rank(mp, gens_from=None, max_size=6, max_module=16):
+def rank(mp, max_size=6, max_module=16):
     """[M : N]: minimal number of extra generators whose span together with
     N recovers all of M. Exhaustive by increasing cardinality."""
     if len(mp.elements) > max_module:
         raise BoundExhausted("module has %d elements; rank search is capped at "
                              "max_module=%d" % (len(mp.elements), max_module))
     target = set(mp.elements)
-    pool = list(gens_from) if gens_from is not None else mp.elements
     if mp.span([]) == target:
         return 0
     for k in range(1, max_size + 1):
-        for combo in itertools.combinations(pool, k):
+        for combo in itertools.combinations(mp.elements, k):
             if mp.span(combo) == target:
                 return k
     raise BoundExhausted("no generating set of size <= max_size=%d" % max_size)
@@ -210,16 +209,19 @@ FREE = "free"
 COMMUTATIVE = "commutative"
 MATRIX_UNITS = "matrix_units"
 
+# Word cap: a growth sequence stops after the first length at which more than
+# MAX_WORDS words have been seen, and reports itself truncated.
+MAX_WORDS = 200000
+
 
 class MonoidModel:
     """Multiplicative monoid whose elements label a basis of the extension
     over the base pair. mul may return None for an absorbed (zero) product."""
 
-    def __init__(self, generators, mul, unit, a0_generators=(), name=""):
+    def __init__(self, generators, mul, unit, name=""):
         self.generators = list(generators)
         self.mul = mul
         self.unit = unit
-        self.a0_generators = list(a0_generators)
         self.name = name or "monoid"
 
 
@@ -273,14 +275,12 @@ class GrowthProfile:
                 "cumulative": self.cumulative, "truncated": self.truncated}
 
 
-def growth_sequence(model, kmax, max_words=200000):
-    """d_k = new basis words of length exactly k, discounting words already
-    produced by the quasi-zero generators alone (the graded reading of the
-    filtration quotient)."""
+def growth_sequence(model, kmax):
+    """d_k = basis words first reached at length k, by breadth-first search
+    from the unit. Past MAX_WORDS words seen, the profile stops at that
+    length and is marked truncated."""
     seen = {model.unit}
-    seen_a0 = {model.unit}
     level = [model.unit]
-    level_a0 = [model.unit]
     d = [1]
     cumulative = [1]
     truncated = False
@@ -292,18 +292,10 @@ def growth_sequence(model, kmax, max_words=200000):
                 if u is not None and u not in seen:
                     seen.add(u)
                     nxt.append(u)
-        nxt_a0 = []
-        for w in level_a0:
-            for g in model.a0_generators:
-                u = model.mul(w, g)
-                if u is not None and u not in seen_a0:
-                    seen_a0.add(u)
-                    nxt_a0.append(u)
-        fresh = [u for u in nxt if u not in seen_a0]
-        d.append(len(fresh))
-        cumulative.append(cumulative[-1] + len(fresh))
-        level, level_a0 = nxt, nxt_a0
-        if len(seen) > max_words:
+        d.append(len(nxt))
+        cumulative.append(cumulative[-1] + len(nxt))
+        level = nxt
+        if len(seen) > MAX_WORDS:
             truncated = True
             break
     return GrowthProfile(model, d, cumulative, truncated)
@@ -318,9 +310,9 @@ def poly_closed_form(t, kmax):
     return [binomial(k + t - 1, t - 1) for k in range(kmax + 1)]
 
 
-def hilbert_series(profile, kmax=None):
-    d = profile.d if kmax is None else profile.d[:kmax + 1]
-    return {"coefficients": d[1:], "d0": d[0], "model": profile.model.name}
+def hilbert_series(profile):
+    return {"coefficients": profile.d[1:], "d0": profile.d[0],
+            "model": profile.model.name}
 
 
 def gk_dimension(profile):
@@ -362,13 +354,13 @@ def is_semidomain(p, window=20):
     return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")
 
 
-def ore_witness(p, a1, a2, degree_bound=2, window=8, require_semidomain=True):
+def ore_witness(p, a1, a2, degree_bound=2, window=8):
     """Searches tangible-coefficient g, h with g(a1,a2) a1 + h(a1,a2) a2 in
-    A0 while g(a1,a2) and h(a1,a2) stay outside; returns b1, b2."""
-    if require_semidomain:
-        sd = is_semidomain(p, window)
-        if sd.status == NO:
-            raise PreconditionError("not a semidomain pair: %r" % (sd.witness,))
+    A0 while g(a1,a2) and h(a1,a2) stay outside; returns b1, b2. A pair that
+    is not a semidomain raises PreconditionError."""
+    sd = is_semidomain(p, window)
+    if sd.status == NO:
+        raise PreconditionError("not a semidomain pair: %r" % (sd.witness,))
     c = p.carrier
     pool = [c.zero] + p.tangible_elements(window)
     monos = [(i, j) for i in range(degree_bound + 1)

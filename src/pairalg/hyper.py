@@ -199,7 +199,8 @@ def krasner_quotient(r, g):
 
 def hyper_coset_quotient(h, g):
     """Coset quotient of a finite semi-hyperring by a subgroup of its
-    multiplicative monoid."""
+    multiplicative monoid. The quotient's axiom report is kept on it as
+    ``verification``; a quotient that fails the axioms raises."""
     g = _check_subgroup(h.mul, h.one, g)
 
     cosets = []
@@ -222,9 +223,10 @@ def hyper_coset_quotient(h, g):
         zero=cidx[h.zero], one=cidx[h.one],
         name="%s/G" % h.name,
     )
-    rep_check = verify_semihyperring(out)
-    if not rep_check.valid:
-        raise PreconditionError("quotient fails axioms: %s" % rep_check.violations[:3])
+    out.verification = verify_semihyperring(out)
+    if not out.verification.valid:
+        raise PreconditionError("quotient fails axioms: %s"
+                                % out.verification.violations[:3])
     return out
 
 

@@ -179,7 +179,7 @@ def is_shallow(p, window=DEFAULT_WINDOW):
 # Surpassing relation verification
 
 
-def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW, assert_shallow_strong=True):
+def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW):
     """Check the surpassing axioms; with ``strong`` also the strengthened
     tangible-equality axiom. Shallow pairs are additionally held to the strong
     form, which is forced for them."""
@@ -222,8 +222,7 @@ def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW, assert_shallow_str
         if a != b and p.surpasses(a, b, window) is True:
             report.record("tangible-equality", (a, b))
 
-    want_strong = strong or (assert_shallow_strong and is_shallow(p, window))
-    if want_strong:
+    if strong or is_shallow(p, window):
         for a in tang:
             for b in limit:
                 if b != a and p.surpasses(b, a, window) is True:
@@ -257,11 +256,12 @@ class PropertyNStatus:
         }
 
 
-def property_n_status(p, window=DEFAULT_WINDOW, separation_cap=20):
+def property_n_status(p, window=DEFAULT_WINDOW):
     """Classify the pair's quasi-negation behaviour on tangibles: Property N
     (every a has a tangible partner a' with a + a' in A0), neg-compatibility
-    (that partner is unique), tangible separation. The reported status is the
-    strongest property that holds; the flags carry the full picture."""
+    (that partner is unique), tangible separation, probed on the first 20
+    tangibles of a symbolic carrier. The reported status is the strongest
+    property that holds; the flags carry the full picture."""
     tang = p.tangible_elements(window)
     partners = {}
     for a in tang:
@@ -269,7 +269,7 @@ def property_n_status(p, window=DEFAULT_WINDOW, separation_cap=20):
         if not partners[a]:
             return PropertyNStatus(PN_NONE, partners)
     unique = all(len(v) == 1 for v in partners.values())
-    probe = tang if p.finite else tang[:separation_cap]
+    probe = tang if p.finite else tang[:20]
     separating = True
     for a in probe:
         for c in probe:
@@ -379,14 +379,14 @@ def derive_negation(p, window=DEFAULT_WINDOW):
 
 
 # ---------------------------------------------------------------------------
-# Reversibility (plain and negated)
+# Reversibility
 
 
-def _reversible_at(p, a, window, neg=None):
+def check_reversibility(p, a, window=DEFAULT_WINDOW):
+    """Reversibility at a: b + a above zero forces b above a."""
     unknown = False
     for b in p.elements(window):
-        lhs = p.add(b, neg(a)) if neg is not None else p.add(b, a)
-        above_zero = p.surpasses(p.zero, lhs, window)
+        above_zero = p.surpasses(p.zero, p.add(b, a), window)
         if above_zero is True:
             dominates = p.surpasses(a, b, window)
             if dominates is False:
@@ -400,42 +400,18 @@ def _reversible_at(p, a, window, neg=None):
     return Verdict(YES)
 
 
-def check_reversibility(p, a=None, mode="plain", n_max=3, window=DEFAULT_WINDOW):
-    """Reversibility: b + a above zero forces b above a. Modes: plain,
-    power(n_max), tangible, neg_plain, neg_power."""
-    neg = None
-    if mode.startswith("neg"):
-        neg = derive_negation(p, window)
-    if mode == "tangible":
-        for t in p.tangible_elements(window):
-            v = _reversible_at(p, t, window)
-            if v.status != YES:
-                return Verdict(v.status, witness=(t, v.witness), bound=window)
-        return Verdict(YES)
-    if a is None:
-        raise PreconditionError("element required for mode %r" % mode)
-    if mode in ("plain", "neg_plain"):
-        return _reversible_at(p, a, window, neg)
-    if mode in ("power", "neg_power"):
-        for n in range(1, n_max + 1):
-            v = _reversible_at(p, p.power(a, n), window, neg)
-            if v.status != YES:
-                return Verdict(v.status, witness=(n, v.witness), bound=window)
-        return Verdict(YES)
-    raise PreconditionError("unknown reversibility mode %r" % mode)
-
-
 # ---------------------------------------------------------------------------
 # Center, weak bipotence, nondegeneracy
 
 
-def compute_center(p, window=DEFAULT_WINDOW, symbolic_cap=15):
+def compute_center(p, window=DEFAULT_WINDOW):
     """Elements z with yz surpassed by zy for every y. Also evaluates the
     cancellation hypothesis (w + y0 + y0' = w forces w + y0 = w) under which
-    centrality transfers to the quotient constructions."""
+    centrality transfers to the quotient constructions. A symbolic carrier
+    is probed on the first 15 elements and quasi-zeros of its window."""
     elems = p.elements(window)
     if not p.finite:
-        elems = elems[:symbolic_cap]
+        elems = elems[:15]
     center = []
     for z in elems:
         if all(p.surpasses(p.mul(y, z), p.mul(z, y), window) is True for y in elems):
@@ -443,7 +419,7 @@ def compute_center(p, window=DEFAULT_WINDOW, symbolic_cap=15):
     hyp = True
     a0 = p.a0_elements(window)
     if not p.finite:
-        a0 = a0[:symbolic_cap]
+        a0 = a0[:15]
     for w in elems:
         for y0, y0p in itertools.product(a0, repeat=2):
             if p.add(p.add(w, y0), y0p) == w and p.add(w, y0) != w:
@@ -478,23 +454,25 @@ def iter_monomials(n_vars, degree_bound):
     return out
 
 
-def check_nondegenerate(p, degree_bound=2, n_vars=1, window=8, max_coeffs=4):
-    """Every tangible polynomial within the bounds takes a value outside A0
-    at some tangible point. Returns NO with a degenerate polynomial witness
-    otherwise. For shallow pairs a nondegenerate verdict simultaneously
-    certifies that tangible polynomials attain a tangible value."""
+def check_nondegenerate(p, degree_bound=2, window=8):
+    """Every tangible one-variable polynomial within the bounds takes a value
+    outside A0 at some tangible point; on a symbolic carrier the
+    coefficients are the first 4 tangibles of the window. Returns NO with a
+    degenerate polynomial witness otherwise. For shallow pairs a
+    nondegenerate verdict simultaneously certifies that tangible polynomials
+    attain a tangible value."""
     from .polynomials import Polynomial, poly_eval
 
     tang = p.tangible_elements(window)
-    coeffs = tang if p.finite else tang[:max_coeffs]
-    monos = iter_monomials(n_vars, degree_bound)
-    points = list(itertools.product(tang, repeat=n_vars))
+    coeffs = tang if p.finite else tang[:4]
+    monos = iter_monomials(1, degree_bound)
+    points = [(t,) for t in tang]
     shallow = is_shallow(p, window)
     for r in range(1, len(monos) + 1):
         for support in itertools.combinations(monos, r):
             for cs in itertools.product(coeffs, repeat=r):
                 terms = list(zip(support, cs))
-                f = Polynomial(p, n_vars, terms)
+                f = Polynomial(p, 1, terms)
                 hit = None
                 for pt in points:
                     v = poly_eval(f, pt)

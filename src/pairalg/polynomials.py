@@ -148,29 +148,22 @@ def find_preceq_roots(f, domain):
 # ---------------------------------------------------------------------------
 # Polynomial pairs
 
-COEFFWISE = "coeffwise"
-SHALLOWIZED = "shallowized"
-
 
 class PolynomialPair:
     """Pair structure on polynomials over a base pair. Quasi-zeros are the
-    coefficientwise-A0 polynomials; the shallowized flavor throws in every
-    sum of two or more monomials, which restores shallowness. Tangibles are
-    the monomials with tangible coefficient either way."""
+    coefficientwise-A0 polynomials; tangibles are the monomials with
+    tangible coefficient."""
 
-    def __init__(self, pair, nvars=1, flavor=COEFFWISE):
-        if flavor not in (COEFFWISE, SHALLOWIZED):
-            raise PreconditionError("unknown flavor %r" % flavor)
+    def __init__(self, pair, nvars=1):
         self.base = pair
         self.nvars = nvars
-        self.flavor = flavor
         self.carrier = PolynomialCarrier(self)
         self.name = "poly(%s)" % pair.name
 
     def poly(self, terms):
         return Polynomial(self.base, self.nvars, terms)
 
-    def surpasses(self, f, g, window=None):
+    def surpasses(self, f, g):
         """f below g via a coefficientwise quasi-zero top-up; decided
         coefficient by coefficient against the base relation."""
         exps = set(f.terms) | set(g.terms)
@@ -185,9 +178,7 @@ class PolynomialPair:
         return out
 
     def in_a0(self, f):
-        if all(self.base.in_a0(v) for v in f.terms.values()):
-            return True
-        return self.flavor == SHALLOWIZED and len(f.terms) >= 2
+        return all(self.base.in_a0(v) for v in f.terms.values())
 
     def is_tangible(self, f):
         return len(f.terms) == 1 and self.base.is_tangible(next(iter(f.terms.values())))
@@ -238,10 +229,6 @@ class PolynomialCarrier(Carrier):
 
     def label(self, f):
         return repr(f)
-
-
-def build_polynomial_pair(p, nvars=1, flavor=COEFFWISE):
-    return PolynomialPair(p, nvars, flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +297,8 @@ class GeometricCongruence:
     every listed point pair. Membership is decided by evaluation, so it is
     not bounded by degree."""
 
-    def __init__(self, p, points, nvars=1):
+    def __init__(self, p, points):
         self.pair = p
-        self.nvars = nvars
         self.points = [(tuple(z1), tuple(z2)) for z1, z2 in points]
 
     def contains(self, f1, f2):
@@ -323,24 +309,18 @@ class GeometricCongruence:
         return True
 
 
-def geometric_congruence(p, points, nvars=1):
-    return GeometricCongruence(p, points, nvars)
-
-
-def check_polypair_semiprime(p, degree=1, sandwich_degree=None, coeffs=None):
+def check_polypair_semiprime(p, degree=1):
     """Trivial-congruence semiprimeness of the truncated polynomial pair:
-    every formally distinct pair (f1, f2) must have some convolution
-    sandwich with distinct components. Returns a record with the base
-    verdict and the polynomial-level verdict within the bound."""
+    every formally distinct pair (f1, f2) of degree at most ``degree`` must
+    have some convolution sandwich, by a pair of the same degree bound, with
+    distinct components. Returns a record with the base verdict and the
+    polynomial-level verdict within the bound."""
     from .congruences import diagonal, is_semiprime
 
     base_semiprime = is_semiprime(diagonal(p))
-    if sandwich_degree is None:
-        sandwich_degree = degree
-    pp = PolynomialPair(p, 1)
-    polys = list(pp.enumerate(degree, coeffs))
-    mids = [(g1, g2) for g1 in pp.enumerate(sandwich_degree, coeffs)
-            for g2 in pp.enumerate(sandwich_degree, coeffs)]
+    pp = PolynomialPair(p)
+    polys = list(pp.enumerate(degree))
+    mids = [(g1, g2) for g1 in polys for g2 in polys]
     witness = None
     for f1 in polys:
         for f2 in polys:
@@ -365,15 +345,17 @@ def check_polypair_semiprime(p, degree=1, sandwich_degree=None, coeffs=None):
 # Literal parser
 
 
-def parse_poly(p, text, var_names=("x", "y", "z")):
-    """Parses literals like '2*x^2*y + 1v*x + 4'. Coefficient tokens are
-    carrier labels; for supertropical carriers a trailing v marks a ghost
-    and plain integers are tangible. Raises PreconditionError with the
-    offending token."""
+_VARIABLES = {"x": 0, "y": 1, "z": 2}
+
+
+def parse_poly(p, text):
+    """Parses literals like '2*x^2*y + 1v*x + 4' in the variables x, y, z.
+    Coefficient tokens are carrier labels; for supertropical carriers a
+    trailing v marks a ghost and plain integers are tangible. Raises
+    PreconditionError with the offending token."""
     text = text.replace(" ", "")
     if not text:
         raise PreconditionError("empty polynomial literal")
-    var_index = {v: i for i, v in enumerate(var_names)}
     used = 0
     parsed = []
     for term in text.split("+"):
@@ -383,7 +365,7 @@ def parse_poly(p, text, var_names=("x", "y", "z")):
         exps = {}
         for factor in term.split("*"):
             name, _, exp = factor.partition("^")
-            if name in var_index:
+            if name in _VARIABLES:
                 k = 1
                 if exp:
                     try:
@@ -392,7 +374,7 @@ def parse_poly(p, text, var_names=("x", "y", "z")):
                         raise PreconditionError("bad exponent %r" % exp) from None
                     if k < 0:
                         raise PreconditionError("negative exponent %r" % exp)
-                i = var_index[name]
+                i = _VARIABLES[name]
                 exps[i] = exps.get(i, 0) + k
                 used = max(used, i + 1)
             elif exp:

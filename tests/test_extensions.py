@@ -9,11 +9,11 @@ from pairalg.extensions import (ExtensionPair, det_chain_report, is_algebraic,
                                 mat_vec, negated_adjoint, negated_determinant,
                                 tangible_coefficient_representation)
 from pairalg.pairs import derive_negation
-from pairalg.polynomials import Polynomial, build_polynomial_pair
+from pairalg.polynomials import Polynomial, PolynomialPair
 
 
 def poly_extension(p):
-    pp = build_polynomial_pair(p, nvars=1)
+    pp = PolynomialPair(p)
     return ExtensionPair(p, pp, embed=lambda a: Polynomial.constant(p, 1, a))
 
 

@@ -6,7 +6,7 @@ from pairalg.pairs import (SemiringPair, check_nondegenerate,
                            compute_center, derive_negation, is_shallow,
                            property_n_status, verify_admissible,
                            verify_surpassing)
-from pairalg.polynomials import build_polynomial_pair
+from pairalg.polynomials import PolynomialPair
 from pairalg.semirings import nmax_trunc
 
 
@@ -34,7 +34,7 @@ def test_shallow_fixtures(bool_pair, st3, double_bool):
 
 def test_polynomial_pair_not_shallow(st3):
     # x + 1v has a tangible and a ghost coefficient: neither layer holds it
-    pp = build_polynomial_pair(st3, nvars=1)
+    pp = PolynomialPair(st3)
     f = pp.poly({(1,): st3.carrier.index("1"), (0,): st3.carrier.index("1v")})
     assert not pp.in_a0(f) and not pp.is_tangible(f)
 

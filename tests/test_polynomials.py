@@ -5,11 +5,11 @@ import pytest
 
 from pairalg.errors import PreconditionError
 from pairalg.pairs import SemiringPair
-from pairalg.polynomials import (Polynomial, build_polynomial_pair,
+from pairalg.polynomials import (GeometricCongruence, Polynomial,
                                  check_mixed_associativity,
                                  check_polypair_semiprime, compose_star,
                                  find_preceq_roots, functional_equal,
-                                 geometric_congruence, is_tangible_poly,
+                                 is_tangible_poly,
                                  parse_poly, poly_eval, twist_compose_product,
                                  twist_substitute)
 from pairalg.semirings import nat_plus_times
@@ -122,7 +122,7 @@ def test_mixed_associativity_unknown_on_symbolic_pair():
 
 
 def test_geometric_congruence_membership(st_int):
-    g = geometric_congruence(st_int, [((("t", 0),), (("t", 0),))])
+    g = GeometricCongruence(st_int, [((("t", 0),), (("t", 0),))])
     f1 = parse_poly(st_int, "x")
     f2 = parse_poly(st_int, "0")
     # twist substitution at (0, 0): both coordinates become 0 + 0 = 0v

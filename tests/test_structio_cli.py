@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pairalg import cli
+from pairalg import cli, congruences, growth
 from pairalg.cli import main
 from pairalg.errors import StructureError
 from pairalg.hyper import SemiHypergroup
@@ -352,20 +352,39 @@ def test_cli_enumeration_cap_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("bound exhausted: ")
 
 
-def test_cli_classification_budget_exits_three(tmp_path, capsys):
-    # the diagonal of F_61 is prime, and showing it takes about 61^4/4
-    # twist products, past MAX_TWIST_PRODUCTS
-    q = 61
+def test_cli_classification_budget_exits_three(tmp_path, capsys, monkeypatch):
+    # the spectrum of F_5 (its diagonal is the one congruence, and prime)
+    # takes 390 twist products: it fits a budget of 390 and exhausts 389
+    q = 5
     s = FiniteSemiring([str(i) for i in range(q)],
                        [[(i + j) % q for j in range(q)] for i in range(q)],
                        [[i * j % q for j in range(q)] for i in range(q)],
-                       zero=0, one=1, name="F61")
-    path = tmp_path / "f61.pair"
+                       zero=0, one=1, name="F5")
+    path = tmp_path / "f5.pair"
     path.write_text(serialize_structures(
         {"semiring": s, "pair": SemiringPair(s, [0], range(1, q))}))
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 390)
+    code, report = run(capsys, "spectrum", str(path))
+    assert code == 0 and report["prime_count"] == 1
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 389)
     assert main(["spectrum", str(path)]) == 3
     assert capsys.readouterr().err.startswith(
-        "bound exhausted: classification exceeded MAX_TWIST_PRODUCTS=")
+        "bound exhausted: classification exceeded MAX_TWIST_PRODUCTS=389")
+
+
+def test_cli_growth_word_cap_truncates_and_exits_three(capsys, monkeypatch):
+    # free words on 2 letters: 1 + 2 + 4 + 8 = 15 words up to length 3
+    monkeypatch.setattr(growth, "MAX_WORDS", 14)
+    code, report = run(capsys, "growth", "--free-letters", "2", "--kmax", "6")
+    assert code == 3
+    assert report["profile"]["truncated"] is True
+    assert report["profile"]["d"] == [1, 2, 4, 8]
+    code, report = run(capsys, "hilbert", "--free-letters", "2", "--kmax", "6")
+    assert code == 3
+    assert report["coefficients"] == [2, 4, 8]
+    monkeypatch.setattr(growth, "MAX_WORDS", 15)
+    code, report = run(capsys, "growth", "--free-letters", "2", "--kmax", "3")
+    assert code == 0 and report["profile"]["truncated"] is False
 
 
 def test_cli_spectrum_past_eight_elements(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 import surpassing_reference as ref
 from pairalg.extensions import ExtensionPair, is_congruence_algebraic
 from pairalg.pairs import SemiringPair, verify_surpassing
-from pairalg.polynomials import (Polynomial, build_polynomial_pair,
+from pairalg.polynomials import (Polynomial, PolynomialPair,
                                  find_preceq_roots, parse_poly)
 from pairalg.semirings import (ST_ZERO, FiniteSemiring, double, nat_plus_times,
                                nmax_trunc, supertropical_integers,
@@ -99,7 +99,7 @@ def test_odd_relation_records_every_axiom():
 
 
 def extension(p):
-    pp = build_polynomial_pair(p, nvars=1)
+    pp = PolynomialPair(p)
     return ExtensionPair(p, pp, embed=lambda a: Polynomial.constant(p, 1, a))
 
 
