@@ -324,11 +324,17 @@ def cmd_hilbert(args):
 
 def cmd_gk(args):
     profile = growth_mod.growth_sequence(_growth_model(args), args.kmax)
+    head = {"model": profile.model.name, "truncated": profile.truncated}
+    if profile.truncated:
+        # a cut profile gives no estimate, however many levels it kept
+        top = len(profile.d) - 1
+        return emit(args, {**head, "kmax": top},
+                    "word cap MAX_WORDS=%d hit at length %d; no GK estimate"
+                    % (growth_mod.MAX_WORDS, top), EXIT_BOUND)
     est = growth_mod.gk_dimension(profile)
     summary = ("divergent (exponential growth)" if est["divergent"]
                else "GK estimate %.3f" % est["estimate"])
-    return emit(args, {"model": profile.model.name,
-                       "result": est}, summary, EXIT_OK)
+    return emit(args, {**head, "result": est}, summary, EXIT_OK)
 
 
 def cmd_ore_witness(args):

@@ -239,13 +239,6 @@ def mat_vec(p, matrix, vec):
     return out
 
 
-def mat_mul(p, m1, m2):
-    c = p.carrier
-    n = len(m1)
-    return [[c.sum(c.mul(m1[i][k], m2[k][j]) for k in range(n))
-             for j in range(len(m2[0]))] for i in range(n)]
-
-
 def det_chain_report(p, matrix, vec, negation):
     """Instance data for the determinant chain: given A v above 0, reports
     whether det(A) v and adj(A) A v stay above 0 coordinatewise."""

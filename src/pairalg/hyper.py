@@ -1,5 +1,8 @@
 """Semi-hypergroups and semi-hyperrings: multivalued addition, power-set
-pairs, and coset quotients in the style of Krasner."""
+pairs, and coset quotients in the style of Krasner.
+
+A subset of elements is also held as an int bitmask, bit v set iff v is in
+it, and every subset sum and set-valued product goes through ``_sum``."""
 
 import itertools
 import operator
@@ -9,9 +12,35 @@ from .pairs import SemiringPair, additive_closure
 from .semirings import Carrier, Labelled
 
 
+def _sum(table, xs, ys):
+    """The union of the masks table[x][y] over x in xs and y in ys."""
+    out = 0
+    for x in xs:
+        row = table[x]
+        for y in ys:
+            out |= row[y]
+    return out
+
+
+def _members(m):
+    """The elements of the mask m, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _singletons(table):
+    """The masks of a single-valued table's entries."""
+    return [[1 << v for v in row] for row in table]
+
+
 class SemiHypergroup(Labelled):
     """Finite set with a commutative, associative multivalued addition and a
-    neutral hyperzero. Table entries are frozensets of element indices."""
+    neutral hyperzero. Table entries are frozensets of element indices in
+    ``hyperadd`` and their bitmasks in ``masks``."""
 
     def __init__(self, labels, hyperadd, zero, name=""):
         super().__init__(labels)
@@ -30,6 +59,7 @@ class SemiHypergroup(Labelled):
                 new.append(fs)
             table.append(new)
         self.hyperadd = table
+        self.masks = [[sum(1 << v for v in fs) for fs in row] for row in table]
         self.zero = zero
         self.name = name or "semihypergroup"
 
@@ -37,40 +67,59 @@ class SemiHypergroup(Labelled):
         return self.hyperadd[x][y]
 
     def hadd_sets(self, s1, s2):
-        out = set()
-        for a in s1:
-            for b in s2:
-                out |= self.hadd(a, b)
-        return frozenset(out)
+        return frozenset(_members(_sum(self.masks, s1, s2)))
 
 
 class SemiHyperring(SemiHypergroup):
-    """Semi-hypergroup plus single-valued multiplication with unit."""
+    """Semi-hypergroup plus single-valued multiplication with unit. A coset
+    quotient keeps its axiom report in ``verification``; it is None on a
+    structure nothing has checked."""
 
     def __init__(self, labels, hyperadd, mul_table, zero, one, name=""):
         super().__init__(labels, hyperadd, zero, name or "semihyperring")
         n = self.n
         if len(mul_table) != n or any(len(row) != n for row in mul_table):
             raise StructureError("mul table is not %dx%d" % (n, n))
+        if any(not (0 <= v < n) for row in mul_table for v in row):
+            raise StructureError("mul table entry out of range")
         self.mul_table = [list(r) for r in mul_table]
         self.one = one
+        self.verification = None
 
     def mul(self, x, y):
         return self.mul_table[x][y]
 
 
+def _entry_sums(table, h):
+    """x [table] S and S [table] x for every element x of h and every entry S
+    of its hyper-sum table: two lists, indexed by x, of dicts keyed by the
+    mask of S."""
+    entries = {m: s for masks, sets in zip(h.masks, h.hyperadd)
+               for m, s in zip(masks, sets)}
+    return ([{m: _sum(table, (x,), s) for m, s in entries.items()}
+             for x in h.elements()],
+            [{m: _sum(table, s, (x,)) for m, s in entries.items()}
+             for x in h.elements()])
+
+
 def verify_semihypergroup(h):
     report = AxiomReport(subject=h.name)
-    for a in h.elements():
-        if h.hadd(h.zero, a) != frozenset([a]):
+    masks = h.masks
+    elems = h.elements()
+    for a in elems:
+        if masks[h.zero][a] != 1 << a:
             report.record("hyperzero-neutral", (h.zero, a))
-    for a, b in itertools.product(h.elements(), repeat=2):
-        if h.hadd(a, b) != h.hadd(b, a):
+    for a, b in itertools.product(elems, repeat=2):
+        if masks[a][b] != masks[b][a]:
             report.record("hyperadd-commutative", (a, b))
-    for a, b, c in itertools.product(h.elements(), repeat=3):
-        report.checked += 1
-        if h.hadd_sets(h.hadd(a, b), {c}) != h.hadd_sets({a}, h.hadd(b, c)):
-            report.record("hyperadd-associative", (a, b, c))
+    plus_entry, entry_plus = _entry_sums(masks, h)
+    for a in elems:
+        for b in elems:
+            ab = masks[a][b]
+            for c in elems:
+                if entry_plus[c][ab] != plus_entry[a][masks[b][c]]:
+                    report.record("hyperadd-associative", (a, b, c))
+    report.checked += h.n ** 3
     return report
 
 
@@ -80,19 +129,26 @@ def verify_semihyperring(h):
     report = verify_semihypergroup(h)
     if not isinstance(h, SemiHyperring):
         raise PreconditionError("multiplication table required")
-    for a in h.elements():
-        if h.mul(h.zero, a) != h.zero or h.mul(a, h.zero) != h.zero:
+    masks, mul = h.masks, h.mul_table
+    elems = h.elements()
+    for a in elems:
+        if mul[h.zero][a] != h.zero or mul[a][h.zero] != h.zero:
             report.record("hyperzero-absorbing", (a,))
-        if h.mul(h.one, a) != a or h.mul(a, h.one) != a:
+        if mul[h.one][a] != a or mul[a][h.one] != a:
             report.record("one-neutral", (a,))
-    for a, b, c in itertools.product(h.elements(), repeat=3):
-        report.checked += 1
-        if h.mul(h.mul(a, b), c) != h.mul(a, h.mul(b, c)):
-            report.record("mul-associative", (a, b, c))
-        if {h.mul(a, x) for x in h.hadd(b, c)} != h.hadd(h.mul(a, b), h.mul(a, c)):
-            report.record("left-distributive", (a, b, c))
-        if {h.mul(x, c) for x in h.hadd(a, b)} != h.hadd(h.mul(a, c), h.mul(b, c)):
-            report.record("right-distributive", (a, b, c))
+    times_entry, entry_times = _entry_sums(_singletons(mul), h)
+    for a in elems:
+        for b in elems:
+            ab, a_plus_b = mul[a][b], masks[a][b]
+            for c in elems:
+                ac, bc = mul[a][c], mul[b][c]
+                if mul[ab][c] != mul[a][bc]:
+                    report.record("mul-associative", (a, b, c))
+                if times_entry[a][masks[b][c]] != masks[ab][ac]:
+                    report.record("left-distributive", (a, b, c))
+                if entry_times[c][a_plus_b] != masks[ac][bc]:
+                    report.record("right-distributive", (a, b, c))
+    report.checked += h.n ** 3
     return report
 
 
@@ -115,43 +171,86 @@ A0_CONTAINS_ZERO = "contains_zero"
 A0_SIZE_GE_TWO = "size_ge_two"
 
 
+class _Sums(dict):
+    """Memo of the subset sums x [table] y, one row per x: ``sums[x][y]`` is
+    the frozenset of ``_sum(table, x, y)``, one object per mask, kept in
+    ``sets``."""
+
+    def __init__(self, table, sets):
+        super().__init__()
+        self.table = table
+        self.sets = sets
+
+    def __missing__(self, x):
+        row = self[x] = _SumRow(self.table, self.sets, x)
+        return row
+
+
+class _SumRow(dict):
+    """The row of x in a ``_Sums`` memo."""
+
+    def __init__(self, table, sets, x):
+        super().__init__()
+        self.table = table
+        self.sets = sets
+        self.x = x
+
+    def __missing__(self, y):
+        m = _sum(self.table, self.x, y)
+        s = self.sets.get(m)
+        if s is None:
+            s = self.sets[m] = frozenset(_members(m))
+        self[y] = s
+        return s
+
+
+class PowersetCarrier(Carrier):
+    """The subsets of a semi-hyperring's elements that sums of singletons
+    reach, as frozensets. Each sum and product of two subsets is formed
+    once, over masks, and kept: there is one frozenset object per subset."""
+
+    finite = True
+
+    def __init__(self, h):
+        self.h = h
+        self.name = "powerset(%s)" % h.name
+        sets = {1 << a: frozenset([a]) for a in h.elements()}
+        self.zero, self.one = sets[1 << h.zero], sets[1 << h.one]
+        self.sums = _Sums(h.masks, sets)
+        self.products = _Sums(_singletons(h.mul_table), sets)
+        self.elems = sorted(additive_closure(self.add, list(sets.values())),
+                            key=lambda s: (len(s), sorted(s)))
+
+    def elements(self):
+        return list(self.elems)
+
+    def sample(self, window=None):
+        return list(self.elems)
+
+    def add(self, x, y):
+        return self.sums[x][y]
+
+    def mul(self, x, y):
+        return self.products[x][y]
+
+    def label(self, x):
+        return "{%s}" % ",".join(self.h.label(a) for a in sorted(x))
+
+
 def powerset_pair(h, a0_choice=A0_CONTAINS_ZERO):
     """The pair on the additive closure of singletons inside the power set of
     a semi-hyperring. Addition is elementwise, tangibles are the nonzero
     singletons, surpassing is set inclusion. Only subsets reachable from
-    singletons are materialized."""
+    singletons are materialized. A base that carries its axiom report (a
+    coset quotient) is not checked again."""
     if not isinstance(h, SemiHyperring):
         raise PreconditionError("power-set pair needs multiplication on the base")
-    rep = verify_semihyperring(h)
+    rep = h.verification or verify_semihyperring(h)
     if not rep.valid:
         raise PreconditionError("base fails semi-hyperring axioms: %s" % rep.violations[:3])
 
-    singletons = [frozenset([a]) for a in h.elements()]
-    elems = sorted(additive_closure(h.hadd_sets, singletons),
-                   key=lambda s: (len(s), sorted(s)))
-
-    class PowersetCarrier(Carrier):
-        finite = True
-        name = "powerset(%s)" % h.name
-        zero = frozenset([h.zero])
-        one = frozenset([h.one])
-
-        def elements(self):
-            return list(elems)
-
-        def sample(self, window=None):
-            return list(elems)
-
-        def add(self, x, y):
-            return h.hadd_sets(x, y)
-
-        def mul(self, x, y):
-            return frozenset(h.mul(a, b) for a in x for b in y)
-
-        def label(self, x):
-            return "{%s}" % ",".join(h.label(a) for a in sorted(x))
-
-    carrier_obj = PowersetCarrier()
+    carrier_obj = PowersetCarrier(h)
+    elems = carrier_obj.elems
     if a0_choice == A0_CONTAINS_ZERO:
         a0 = frozenset(s for s in elems if h.zero in s)
     elif a0_choice == A0_SIZE_GE_TWO:
@@ -214,7 +313,7 @@ def hyper_coset_quotient(h, g):
         cidx[x] = seen[c]
     reps = [min(c) for c in cosets]
 
-    hyperadd = [[frozenset(cidx[z] for z in h.hadd_sets(c1, c2))
+    hyperadd = [[frozenset(cidx[z] for z in _members(_sum(h.masks, c1, c2)))
                  for c2 in cosets] for c1 in cosets]
     mul_table = [[cidx[h.mul(reps[i], reps[j])] for j in range(len(cosets))] for i in range(len(cosets))]
     labels = ["[%s]" % h.label(rep) for rep in reps]

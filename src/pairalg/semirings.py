@@ -12,14 +12,7 @@ from .pairs import DEFAULT_WINDOW, SemiringPair
 
 
 class Carrier:
-    """Arithmetic every carrier derives from its ``add``, ``mul``, ``zero``
-    and ``one``."""
-
-    def sum(self, xs):
-        acc = self.zero
-        for x in xs:
-            acc = self.add(acc, x)
-        return acc
+    """Arithmetic every carrier derives from its ``mul`` and ``one``."""
 
     def prod(self, xs):
         acc = self.one

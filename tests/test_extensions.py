@@ -5,8 +5,8 @@ import pytest
 
 from pairalg.errors import BoundExhausted
 from pairalg.extensions import (ExtensionPair, det_chain_report, is_algebraic,
-                                is_congruence_algebraic, is_integral, mat_mul,
-                                mat_vec, negated_adjoint, negated_determinant,
+                                is_congruence_algebraic, is_integral, mat_vec,
+                                negated_adjoint, negated_determinant,
                                 tangible_coefficient_representation)
 from pairalg.pairs import derive_negation
 from pairalg.polynomials import Polynomial, PolynomialPair

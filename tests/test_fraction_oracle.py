@@ -4,7 +4,9 @@ the same order, tables, zero and one, layers, and refusal messages. The
 rings Z/n (fields and rings with zero divisors) are localized at every
 subgroup of their units, truncations, max-min chains, doubles and
 supertropical chains at every one- or two-element set of tangibles, each in
-three element orders (Z/13 in its own). Localizing F_p at a subgroup of
+three element orders (Z/13 in its own). The 2x2 Boolean matrices are
+localized, in their own order, at S = {I, swap}, which is not central.
+Localizing F_p at a subgroup of
 F_p^* gives F_p back, and classing F_17 at F_17^* makes no frac_equiv call."""
 
 import itertools
@@ -15,11 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 from pairalg import fractions
-from pairalg.errors import PreconditionError
-from pairalg.fractions import LocalizationContext, build_fraction_pair
-from pairalg.semirings import FiniteSemiring, boolean_semiring, double
+from pairalg.errors import NO, YES, PreconditionError
+from pairalg.fractions import (LocalizationContext, build_fraction_pair,
+                               frac_is_tangible)
+from pairalg.semirings import (FiniteSemiring, boolean_semiring, double,
+                               verify_semiring_axioms)
 from test_congruence_oracle import (chain_pair, fq_pair, max_min_pair,
                                     nmax_pair, orders, permuted, table_pair)
+from test_fractions import boolean_matrices
 
 
 def zn_pair(n):
@@ -66,7 +71,9 @@ CASES = ([(zn_pair(n), unit_subgroups(n)) for n in range(2, 14)]
             [nmax_pair(n) for n in range(1, 8)]
             + [max_min_pair(k) for k in range(2, 6)]
             + [double(boolean_semiring())]
-            + [chain_pair(k) for k in (1, 2, 3)]])
+            + [chain_pair(k) for k in (1, 2, 3)]]
+         + [(p, [[pos[1, 0, 0, 1], pos[0, 1, 1, 0]]])
+            for p, pos in [boolean_matrices()]])
 
 
 @pytest.mark.parametrize("base,subsets", CASES, ids=lambda x: getattr(x, "name", ""))
@@ -78,6 +85,20 @@ def test_fraction_pairs_match_reference(base, subsets):
             S = [new[s] for s in S]
             assert outcome(build_fraction_pair, p, S) == outcome(
                 ref.build_fraction_pair, p, S)
+
+
+def test_boolean_matrices_at_swap_give_a_semiring():
+    # S = {I, swap} is not central, so classing takes the non-central
+    # branches of common_denominator and frac_mul
+    p, pos = boolean_matrices()
+    S = [pos[1, 0, 0, 1], pos[0, 1, 1, 0]]
+    fp = build_fraction_pair(p, S)
+    assert fp.carrier.n == 16
+    assert verify_semiring_axioms(fp.carrier).valid
+    # every nonzero matrix is tangible; 0/s equals no t/s' with t tangible
+    for s in S:
+        assert frac_is_tangible(fp.context.fraction(p.one, s)).status == YES
+        assert frac_is_tangible(fp.context.fraction(p.zero, s)).status == NO
 
 
 def test_denominator_outside_the_list_matches_reference():

@@ -125,7 +125,7 @@ def boolean_matrices():
     s = FiniteSemiring(["".join(map(str, m)) for m in mats],
                        [[pos[tuple(map(max, a, b))] for b in mats] for a in mats],
                        [[pos[mul(a, b)] for b in mats] for a in mats],
-                       pos[0, 0, 0, 0], pos[1, 0, 0, 1])
+                       pos[0, 0, 0, 0], pos[1, 0, 0, 1], name="B2x2")
     return SemiringPair(s, [s.zero], range(1, 16)), pos
 
 

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from pairalg import hyper
 from pairalg.errors import BoundExhausted, PreconditionError
 from pairalg.hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHyperring,
                            find_isomorphism, hyper_coset_quotient, krasner_hyperfield,
@@ -80,6 +83,24 @@ def test_powerset_subset_surpassing(krasner):
         for x in elems:
             for y in elems:
                 assert p.surpasses(x, y) == (x <= y)
+
+
+def test_powerset_pair_of_a_quotient_is_not_checked_again(monkeypatch):
+    h = krasner_quotient(mod_field(5), [1, 4])
+
+    def no_check(h):
+        raise AssertionError("quotient checked a second time")
+
+    monkeypatch.setattr(hyper, "verify_semihyperring", no_check)
+    p = powerset_pair(h, A0_CONTAINS_ZERO)
+    # sums and products come back as the carrier's own objects
+    c = p.carrier
+    elems = c.elements()
+    own = {x: x for x in elems}
+    for x, y in itertools.product(elems, repeat=2):
+        assert c.add(x, y) is own[c.add(x, y)]
+        assert c.mul(x, y) is own[c.mul(x, y)]
+    assert c.zero is own[frozenset([h.zero])]
 
 
 def test_semihyperring_distributivity_violations():

@@ -387,6 +387,26 @@ def test_cli_growth_word_cap_truncates_and_exits_three(capsys, monkeypatch):
     assert code == 0 and report["profile"]["truncated"] is False
 
 
+def test_cli_gk_on_a_truncated_profile_exits_three(capsys, monkeypatch):
+    # commutative words on 3 letters: 1, 4, 10, 20, 35, 56, 84, 120 up to
+    # lengths 0..7; a cap of 100 stops the profile at length 7 of 9
+    monkeypatch.setattr(growth, "MAX_WORDS", 100)
+    code, report = run(capsys, "gk", "--poly-letters", "3", "--kmax", "9")
+    assert code == 3
+    assert report["truncated"] is True and report["kmax"] == 7
+    assert "result" not in report
+    # 15 words up to length 3 leave 4 levels, too few for an estimate:
+    # the bound was hit, the input is fine
+    monkeypatch.setattr(growth, "MAX_WORDS", 14)
+    code, report = run(capsys, "gk", "--free-letters", "2", "--kmax", "8")
+    assert code == 3
+    assert report["truncated"] is True and report["kmax"] == 3
+    monkeypatch.undo()
+    code, report = run(capsys, "gk", "--poly-letters", "3", "--kmax", "9")
+    assert code == 0 and report["truncated"] is False
+    assert report["result"]["kmax"] == 9
+
+
 def test_cli_spectrum_past_eight_elements(tmp_path, capsys):
     s = nmax_trunc(30)  # 32 elements
     path = tmp_path / "nmax30.pair"
