@@ -29,7 +29,15 @@ class Violation:
     witness: tuple
 
     def as_json(self):
-        return {"axiom": self.axiom, "witness": [repr(w) for w in self.witness]}
+        return {"axiom": self.axiom, "witness": [_text(w) for w in self.witness]}
+
+
+def _text(w):
+    """``repr``, except that a nonempty set lists its members sorted, so that
+    equal sets print alike whatever order they were built in."""
+    if isinstance(w, (set, frozenset)) and w:
+        return "%s({%s})" % (type(w).__name__, ", ".join(map(repr, sorted(w))))
+    return repr(w)
 
 
 @dataclass

@@ -342,14 +342,11 @@ def gk_dimension(profile):
 def is_semidomain(p, window=20):
     """Every tangible regular over A0: t b or b t in the quasi-zeros forces
     b there already."""
-    c = p.carrier
-    tang = p.tangible_elements(window)
-    elems = p.elements(window)
-    for t in tang:
-        for b in elems:
-            if p.in_a0(b):
-                continue
-            if p.in_a0(c.mul(t, b)) or p.in_a0(c.mul(b, t)):
+    mul, in_a0 = p.carrier.mul, p.in_a0
+    outside = [b for b in p.elements(window) if not in_a0(b)]
+    for t in p.tangible_elements(window):
+        for b in outside:
+            if in_a0(mul(t, b)) or in_a0(mul(b, t)):
                 return Verdict(NO, witness=(t, b))
     return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")
 

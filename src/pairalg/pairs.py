@@ -21,7 +21,9 @@ DEFAULT_WINDOW = 50
 class SemiringPair:
     """Carrier semiring A with quasi-zero sub-semiring A0 and tangible monoid
     T. For finite carriers A0 and T are index sets; for symbolic ones they are
-    membership predicates, with ``tangible_sample`` supplying a probe set."""
+    membership predicates, with ``tangible_sample`` supplying a probe set.
+    Each layer's kind is fixed when the pair is built: ``in_a0`` and
+    ``is_tangible`` are the predicate itself or the set's membership test."""
 
     def __init__(
         self,
@@ -34,8 +36,8 @@ class SemiringPair:
         name="",
     ):
         self.carrier = carrier
-        self._a0 = a0
-        self._tang = tangibles
+        self.in_a0, self._a0 = _layer(carrier, a0)
+        self.is_tangible, self._tang = _layer(carrier, tangibles)
         self._tangible_sample = tangible_sample
         self.surpass_fn = surpass_fn
         self.negation_hint = negation_hint
@@ -72,26 +74,16 @@ class SemiringPair:
 
     # -- membership
 
-    def in_a0(self, x):
-        if callable(self._a0):
-            return self._a0(x)
-        return x in self._a0
-
-    def is_tangible(self, x):
-        if callable(self._tang):
-            return self._tang(x)
-        return x in self._tang
-
     def a0_elements(self, window=DEFAULT_WINDOW):
-        if not callable(self._a0):
-            return sorted(self._a0) if self.finite else list(self._a0)
+        if self._a0 is not None:
+            return list(self._a0)
         return [x for x in self.elements(window) if self.in_a0(x)]
 
     def tangible_elements(self, window=DEFAULT_WINDOW):
         if self._tangible_sample is not None and not self.finite:
             return list(self._tangible_sample(window))
-        if not callable(self._tang):
-            return sorted(self._tang)
+        if self._tang is not None:
+            return list(self._tang)
         return [x for x in self.elements(window) if self.is_tangible(x)]
 
     # -- surpassing
@@ -103,13 +95,27 @@ class SemiringPair:
         if self.surpass_fn is not None:
             return self.surpass_fn(b1, b2)
         # precedes zero: exists y in A0 with b2 = b1 + y
-        for y in self.a0_elements(window):
+        a0 = self._a0 if self._a0 is not None else self.a0_elements(window)
+        for y in a0:
             if self.add(b1, y) == b2:
                 return True
         return False if self.finite else None
 
     def __repr__(self):
         return "SemiringPair(%s)" % self.name
+
+
+def _layer(carrier, layer):
+    """A layer's membership test, and its members listed once: in the
+    carrier's element order on a finite carrier, as given on a symbolic one.
+    A predicate layer has no list; it is drawn from the window on demand."""
+    if callable(layer):
+        return layer, None
+    layer = list(layer)
+    members = frozenset(layer)
+    if carrier.finite:
+        layer = [x for x in carrier.elements() if x in members]
+    return members.__contains__, tuple(layer)
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +147,27 @@ def verify_admissible(p, window=DEFAULT_WINDOW):
         report.window = window
     a0 = p.a0_elements(window)
     tang = p.tangible_elements(window)
+    add, mul = p.carrier.add, p.carrier.mul
+    in_a0, is_tangible = p.in_a0, p.is_tangible
 
-    if not p.in_a0(p.zero):
+    if not in_a0(p.zero):
         report.record("a0-contains-zero", (p.zero,))
     for x, y in itertools.product(a0, repeat=2):
         report.checked += 1
-        if not p.in_a0(p.add(x, y)):
+        if not in_a0(add(x, y)):
             report.record("a0-add-closed", (x, y))
-        if not p.in_a0(p.mul(x, y)):
+        if not in_a0(mul(x, y)):
             report.record("a0-mul-closed", (x, y))
 
-    if not p.is_tangible(p.one):
+    if not is_tangible(p.one):
         report.record("tangibles-contain-one", (p.one,))
     for x, y in itertools.product(tang, repeat=2):
         report.checked += 1
-        if not p.is_tangible(p.mul(x, y)):
+        if not is_tangible(mul(x, y)):
             report.record("tangible-mul-closed", (x, y))
 
     for x in p.elements(window):
-        if p.in_a0(x) and p.is_tangible(x):
+        if in_a0(x) and is_tangible(x):
             report.record("a0-tangible-disjoint", (x,))
 
     if p.finite:
@@ -261,23 +269,25 @@ def property_n_status(p, window=DEFAULT_WINDOW):
     (every a has a tangible partner a' with a + a' in A0), neg-compatibility
     (that partner is unique), tangible separation, probed on the first 20
     tangibles of a symbolic carrier. The reported status is the strongest
-    property that holds; the flags carry the full picture."""
+    property that holds; the flags carry the full picture. Separation takes
+    each a's partners from the partner scan instead of forming a + a' again."""
     tang = p.tangible_elements(window)
+    add, in_a0, is_tangible = p.carrier.add, p.in_a0, p.is_tangible
     partners = {}
     for a in tang:
-        partners[a] = [a2 for a2 in tang if p.in_a0(p.add(a, a2))]
+        partners[a] = [a2 for a2 in tang if in_a0(add(a, a2))]
         if not partners[a]:
             return PropertyNStatus(PN_NONE, partners)
     unique = all(len(v) == 1 for v in partners.values())
     probe = tang if p.finite else tang[:20]
+    in_probe = set(probe)
     separating = True
     for a in probe:
+        near = [a2 for a2 in partners[a] if a2 in in_probe]
         for c in probe:
             if c == a:
                 continue
-            if not any(
-                p.is_tangible(p.add(c, a2)) and p.in_a0(p.add(a, a2)) for a2 in probe
-            ):
+            if not any(is_tangible(add(c, a2)) for a2 in near):
                 separating = False
                 break
         if not separating:

@@ -9,9 +9,11 @@ are copied in too, so that the references stay fixed while the library's
 scans change."""
 
 import itertools
+import random
 
 from pairalg.errors import AxiomReport, NO, PreconditionError, UNKNOWN, Verdict, YES
-from pairalg.pairs import is_shallow
+from pairalg.pairs import (PN_NEG_COMPATIBLE, PN_NONE, PN_PROPERTY_N,
+                           PN_TANGIBLY_SEPARATING, PropertyNStatus, is_shallow)
 from pairalg.polynomials import Polynomial
 
 DEFAULT_WINDOW = 50
@@ -124,3 +126,96 @@ def is_congruence_algebraic(ext, y, degree_bound=2, window=12, coeffs=None):
 def find_preceq_roots(f, domain):
     pts = itertools.product(domain, repeat=f.nvars)
     return [pt for pt in pts if f.pair.in_a0(poly_eval(f, pt))]
+
+
+# The checks that formed every sum and product where each test needed it:
+# the semiring-axiom check with 20 operations per sampled triple, Property N
+# forming a + a2 again for every c of the separation test, and the
+# semidomain scan testing b for A0 once per tangible.
+
+
+def verify_semiring_axioms(s, window=DEFAULT_WINDOW):
+    report = AxiomReport(subject=getattr(s, "name", "semiring"))
+    if s.finite:
+        elems = list(s.elements())
+        triple_iter = itertools.product(elems, repeat=3)
+    else:
+        elems = list(s.sample(window))
+        rng = random.Random(0)
+        triple_iter = (tuple(rng.choice(elems) for _ in range(3)) for _ in range(2000))
+        report.window = window
+
+    for x in elems:
+        if s.add(s.zero, x) != x or s.add(x, s.zero) != x:
+            report.record("zero-neutral", (x,))
+        if s.mul(s.one, x) != x or s.mul(x, s.one) != x:
+            report.record("one-neutral", (x,))
+        if s.mul(s.zero, x) != s.zero or s.mul(x, s.zero) != s.zero:
+            report.record("zero-absorbing", (x,))
+    if s.finite:
+        for x, y in itertools.product(elems, repeat=2):
+            if s.add(x, y) != s.add(y, x):
+                report.record("add-commutative", (x, y))
+
+    for x, y, z in triple_iter:
+        report.checked += 1
+        if not s.finite and s.add(x, y) != s.add(y, x):
+            report.record("add-commutative", (x, y))
+        if s.add(s.add(x, y), z) != s.add(x, s.add(y, z)):
+            report.record("add-associative", (x, y, z))
+        if s.mul(s.mul(x, y), z) != s.mul(x, s.mul(y, z)):
+            report.record("mul-associative", (x, y, z))
+        if s.mul(x, s.add(y, z)) != s.add(s.mul(x, y), s.mul(x, z)):
+            report.record("left-distributive", (x, y, z))
+        if s.mul(s.add(x, y), z) != s.add(s.mul(x, z), s.mul(y, z)):
+            report.record("right-distributive", (x, y, z))
+    return report
+
+
+def property_n_status(p, window=DEFAULT_WINDOW):
+    tang = p.tangible_elements(window)
+    partners = {}
+    for a in tang:
+        partners[a] = [a2 for a2 in tang if p.in_a0(p.add(a, a2))]
+        if not partners[a]:
+            return PropertyNStatus(PN_NONE, partners)
+    unique = all(len(v) == 1 for v in partners.values())
+    probe = tang if p.finite else tang[:20]
+    separating = True
+    for a in probe:
+        for c in probe:
+            if c == a:
+                continue
+            if not any(
+                p.is_tangible(p.add(c, a2)) and p.in_a0(p.add(a, a2)) for a2 in probe
+            ):
+                separating = False
+                break
+        if not separating:
+            break
+    if separating:
+        status = PN_TANGIBLY_SEPARATING
+    elif unique:
+        status = PN_NEG_COMPATIBLE
+    else:
+        status = PN_PROPERTY_N
+    return PropertyNStatus(
+        status,
+        partners,
+        property_n=True,
+        neg_compatible=unique,
+        tangibly_separating=separating,
+    )
+
+
+def is_semidomain(p, window=20):
+    c = p.carrier
+    tang = p.tangible_elements(window)
+    elems = p.elements(window)
+    for t in tang:
+        for b in elems:
+            if p.in_a0(b):
+                continue
+            if p.in_a0(c.mul(t, b)) or p.in_a0(c.mul(b, t)):
+                return Verdict(NO, witness=(t, b))
+    return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")

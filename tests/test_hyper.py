@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from pairalg import hyper
-from pairalg.errors import BoundExhausted, PreconditionError
+from pairalg.errors import BoundExhausted, PreconditionError, Violation
 from pairalg.hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHyperring,
                            find_isomorphism, hyper_coset_quotient, krasner_hyperfield,
                            krasner_quotient, powerset_pair,
                            semiring_as_hyperring, verify_semihypergroup,
                            verify_semihyperring)
-from pairalg.pairs import is_shallow, verify_admissible
+from pairalg.pairs import SemiringPair, is_shallow, verify_admissible
 from pairalg.semirings import FiniteSemiring
 
 
@@ -101,6 +101,30 @@ def test_powerset_pair_of_a_quotient_is_not_checked_again(monkeypatch):
         assert c.add(x, y) is own[c.add(x, y)]
         assert c.mul(x, y) is own[c.mul(x, y)]
     assert c.zero is own[frozenset([h.zero])]
+
+
+def test_layers_are_listed_in_the_carrier_order():
+    # frozensets compare by inclusion, so sorting power-set layers gave
+    # hash order
+    h = krasner_quotient(mod_field(17), [1, 16])
+    for choice in (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO):
+        p = powerset_pair(h, choice)
+        elems = p.carrier.elements()
+        assert p.a0_elements() == [x for x in elems if p.in_a0(x)]
+        assert p.tangible_elements() == [x for x in elems if p.is_tangible(x)]
+    # a table carrier lists its layers by index, as sorting did
+    p = SemiringPair(mod_field(5), [3, 0], range(4, 0, -1))
+    assert p.a0_elements() == [0, 3]
+    assert p.tangible_elements() == [1, 2, 3, 4]
+
+
+def test_set_witnesses_print_their_members_sorted():
+    a, b = frozenset([8, 0, 2, 7]), frozenset([0, 8, 2, 7])
+    assert a == b and repr(a) != repr(b)
+    for w in (a, b):
+        assert Violation("a0-mul-closed", (w, frozenset())).as_json() == {
+            "axiom": "a0-mul-closed",
+            "witness": ["frozenset({0, 2, 7, 8})", "frozenset()"]}
 
 
 def test_semihyperring_distributivity_violations():
