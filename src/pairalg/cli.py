@@ -20,18 +20,17 @@ from .errors import (BoundExhausted, NO, PairAlgError, PreconditionError,
                      StructureError, UNKNOWN, UnsupportedStructureError, YES)
 from .extensions import ExtensionPair, is_algebraic, is_congruence_algebraic, is_integral
 from .fractions import OreFailure, build_fraction_pair
-from .hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, krasner_quotient,
-                    powerset_pair, verify_semihypergroup, verify_semihyperring)
-from .pairs import is_shallow, property_n_status, verify_admissible
+from .hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHyperring,
+                    krasner_quotient, powerset_pair, verify_semihypergroup,
+                    verify_semihyperring)
+from .pairs import SemiringPair, is_shallow, property_n_status, verify_admissible
 from .polynomials import (Polynomial, PolynomialPair, find_preceq_roots,
                           parse_poly)
 from .semirings import (boolean_semiring, double, nmax_trunc, nat_plus_times,
                         supertropical_extension, supertropical_integers,
                         supertropical_naturals, trivial_monoid,
                         verify_semiring_axioms)
-from .pairs import SemiringPair
 from .structio import load_structures, serialize_structures
-from .hyper import SemiHyperring
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -393,6 +392,15 @@ def cmd_powerset(args):
 # ---------------------------------------------------------------------------
 
 
+def non_negative_int(text):
+    """argparse type of --window, --degree and --kmax: a negative bound
+    leaves nothing to sample or search, so it is an input error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="pairalg",
@@ -406,7 +414,8 @@ def build_parser():
             sp.add_argument("structure",
                             help="structure file or builtin name")
         if window:
-            sp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+            sp.add_argument("--window", type=non_negative_int,
+                            default=DEFAULT_WINDOW)
         sp.add_argument("--json", action="store_true",
                         help="suppress the stderr summary")
         sp.set_defaults(fn=fn)
@@ -434,7 +443,7 @@ def build_parser():
     sp = add("classify-element", cmd_classify_element, window=True)
     sp.add_argument("--element", required=True,
                     help="polynomial expression for the element")
-    sp.add_argument("--degree", type=int, default=3)
+    sp.add_argument("--degree", type=non_negative_int, default=3)
 
     for name, fn in (("growth", cmd_growth), ("hilbert", cmd_hilbert),
                      ("gk", cmd_gk)):
@@ -442,12 +451,12 @@ def build_parser():
         sp.add_argument("--free-letters", type=int)
         sp.add_argument("--poly-letters", type=int)
         sp.add_argument("--matrix-units", type=int)
-        sp.add_argument("--kmax", type=int, default=8)
+        sp.add_argument("--kmax", type=non_negative_int, default=8)
 
     sp = add("ore-witness", cmd_ore_witness, window=True)
     sp.add_argument("--a1", required=True)
     sp.add_argument("--a2", required=True)
-    sp.add_argument("--degree", type=int, default=2)
+    sp.add_argument("--degree", type=non_negative_int, default=2)
 
     sp = add("krasner", cmd_krasner)
     sp.add_argument("--subgroup", required=True,

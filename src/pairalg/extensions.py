@@ -20,17 +20,11 @@ class ExtensionPair:
         self.embed = embed or (lambda a: a)
         self.name = name or "extension"
 
-    def base_sample(self, window=30):
-        return list(self.base.carrier.sample(window))
-
-    def ext_sample(self, window=30):
-        return list(self.ext.carrier.sample(window))
-
     def verify(self, window=20):
         report = AxiomReport(subject=self.name, window=window)
         eb, ee = self.base.carrier, self.ext.carrier
-        base = self.base_sample(window)
-        extn = self.ext_sample(window)
+        base = self.base.elements(window)
+        extn = self.ext.elements(window)
         f = self.embed
         if f(eb.zero) != ee.zero or f(eb.one) != ee.one:
             report.record("embedding-units", (eb.zero, eb.one))
@@ -77,7 +71,7 @@ def is_integral(ext, y, degree_bound=3, window=20):
     """Search for a0..a_{n-1} in the base with sum a_i y^i below y^n in the
     surpassing order; minimal n, lexicographically first witness."""
     p = ext.ext
-    base = ext.base_sample(window)
+    base = ext.base.elements(window)
     complete = ext.base.carrier.finite
     unknown = False
     powers = ext.powers(y, degree_bound)
@@ -100,7 +94,7 @@ def is_algebraic(ext, y, degree_bound=3, window=20):
     sum a_i y^i into the quasi-zeros of the extension. Degree-0 relations
     are excluded: a lone quasi-zero constant says nothing about y."""
     p = ext.ext
-    base = ext.base_sample(window)
+    base = ext.base.elements(window)
     zero = ext.base.carrier.zero
     powers = ext.powers(y, degree_bound)
     for n in range(1, degree_bound + 1):
@@ -136,7 +130,7 @@ def is_congruence_algebraic(ext, y, degree_bound=2, window=12):
     needed there."""
     p = ext.ext
     base_pair = ext.base
-    base_pts = ext.base_sample(window)
+    base_pts = ext.base.elements(window)
     monos = [(k,) for k in range(degree_bound + 1)]
     powers = ext.powers(y, degree_bound)
     unknown = False

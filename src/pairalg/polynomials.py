@@ -7,8 +7,8 @@ import operator
 from types import SimpleNamespace
 
 from .errors import PreconditionError
-from .pairs import iter_monomials
-from .semirings import Carrier, twist_product
+from .pairs import SemiringPair, iter_monomials
+from .semirings import SymbolicSemiring, twist_product
 
 
 class Polynomial:
@@ -149,39 +149,35 @@ def find_preceq_roots(f, domain):
 # Polynomial pairs
 
 
-class PolynomialPair:
+class PolynomialPair(SemiringPair):
     """Pair structure on polynomials over a base pair. Quasi-zeros are the
     coefficientwise-A0 polynomials; tangibles are the monomials with
-    tangible coefficient."""
+    tangible coefficient; f is surpassed by g coefficient by coefficient.
+    The carrier's sample is degree-1 polynomials over the base's sample."""
 
     def __init__(self, pair, nvars=1):
         self.base = pair
         self.nvars = nvars
-        self.carrier = PolynomialCarrier(self)
-        self.name = "poly(%s)" % pair.name
+
+        def sample(window):
+            coeffs = list(pair.carrier.sample(max(2, window // 4)))
+            # window 0 still samples one polynomial
+            return list(itertools.islice(self.enumerate(1, coeffs=coeffs),
+                                         max(1, window * window)))
+
+        carrier = SymbolicSemiring(
+            "poly(%s)" % getattr(pair.carrier, "name", "?"), operator.add,
+            operator.mul, Polynomial(pair, nvars, {}),
+            Polynomial.constant(pair, nvars, pair.carrier.one), sample)
+        super().__init__(
+            carrier,
+            a0=lambda f: all(pair.in_a0(v) for v in f.terms.values()),
+            tangibles=lambda f: (len(f.terms) == 1 and
+                                 pair.is_tangible(next(iter(f.terms.values())))),
+            surpass_fn=_coefficientwise(pair), name="poly(%s)" % pair.name)
 
     def poly(self, terms):
         return Polynomial(self.base, self.nvars, terms)
-
-    def surpasses(self, f, g):
-        """f below g via a coefficientwise quasi-zero top-up; decided
-        coefficient by coefficient against the base relation."""
-        exps = set(f.terms) | set(g.terms)
-        zero = self.base.carrier.zero
-        out = True
-        for e in exps:
-            v = self.base.surpasses(f.terms.get(e, zero), g.terms.get(e, zero))
-            if v is False:
-                return False
-            if v is None:
-                out = None
-        return out
-
-    def in_a0(self, f):
-        return all(self.base.in_a0(v) for v in f.terms.values())
-
-    def is_tangible(self, f):
-        return len(f.terms) == 1 and self.base.is_tangible(next(iter(f.terms.values())))
 
     def enumerate(self, degree, coeffs=None):
         """All polynomials of total degree <= degree with coefficients from
@@ -193,42 +189,22 @@ class PolynomialPair:
             yield self.poly(dict(zip(monos, choice)))
 
 
-class PolynomialCarrier(Carrier):
-    """Carrier view of a polynomial pair: delegates the semiring operations
-    to formal polynomial arithmetic so code written against carriers works
-    on polynomials too. Sampling enumerates low-degree polynomials. The
-    operations are static, so the class itself serves as a carrier too."""
+def _coefficientwise(pair):
+    """f below g via a coefficientwise quasi-zero top-up; decided
+    coefficient by coefficient against the base relation."""
+    zero = pair.carrier.zero
 
-    finite = False
-
-    def __init__(self, pp):
-        self._pp = pp
-        base = pp.base.carrier
-        self.zero = Polynomial(pp.base, pp.nvars, {})
-        exp0 = tuple(0 for _ in range(pp.nvars))
-        self.one = Polynomial(pp.base, pp.nvars, {exp0: base.one})
-        self.name = "poly(%s)" % getattr(base, "name", "?")
-
-    @staticmethod
-    def add(f, g):
-        return f + g
-
-    @staticmethod
-    def mul(f, g):
-        return f * g
-
-    def sample(self, window=8):
-        pp = self._pp
-        coeffs = list(pp.base.carrier.sample(max(2, window // 4)))
-        out = []
-        for f in pp.enumerate(1, coeffs=coeffs):
-            out.append(f)
-            if len(out) >= window * window:
-                break
+    def surpasses(f, g):
+        ft, gt = f.terms, g.terms
+        out = True
+        for e in set(ft) | set(gt):
+            v = pair.surpasses(ft.get(e, zero), gt.get(e, zero))
+            if v is False:
+                return False
+            if v is None:
+                out = None
         return out
-
-    def label(self, f):
-        return repr(f)
+    return surpasses
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +240,8 @@ def compose_star(f, g):
 
 # polynomials under + and the substitution product
 _COMPOSITION = SimpleNamespace(add=operator.add, mul=compose_star)
+# polynomials under + and the convolution product
+_CONVOLUTION = SimpleNamespace(add=operator.add, mul=operator.mul)
 
 
 def twist_compose_product(x, y):
@@ -289,7 +267,7 @@ def check_mixed_associativity(fpair, gpair, z):
 
 
 def twist_conv_product(x, y):
-    return twist_product(PolynomialCarrier, x, y)
+    return twist_product(_CONVOLUTION, x, y)
 
 
 class GeometricCongruence:

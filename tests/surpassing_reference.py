@@ -87,8 +87,8 @@ def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW, assert_shallow_str
 def is_congruence_algebraic(ext, y, degree_bound=2, window=12, coeffs=None):
     p = ext.ext
     base_pair = ext.base
-    pool = coeffs if coeffs is not None else ext.base_sample(window)
-    base_pts = ext.base_sample(window)
+    pool = coeffs if coeffs is not None else ext.base.elements(window)
+    base_pts = ext.base.elements(window)
     monos = [(k,) for k in range(degree_bound + 1)]
     unknown = False
     polys = []
@@ -219,3 +219,40 @@ def is_semidomain(p, window=20):
             if p.in_a0(c.mul(t, b)) or p.in_a0(c.mul(b, t)):
                 return Verdict(NO, witness=(t, b))
     return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")
+
+
+# The polynomial pair's own relation and layers, and its carrier's sample,
+# before it became a SemiringPair over a SymbolicSemiring whose surpass_fn,
+# a0 and tangibles predicates and sample_fn stand in for them. ``pp`` is the
+# polynomial pair; its base pair is ``pp.base``.
+
+
+def poly_surpasses(pp, f, g):
+    exps = set(f.terms) | set(g.terms)
+    zero = pp.base.carrier.zero
+    out = True
+    for e in exps:
+        v = pp.base.surpasses(f.terms.get(e, zero), g.terms.get(e, zero))
+        if v is False:
+            return False
+        if v is None:
+            out = None
+    return out
+
+
+def poly_in_a0(pp, f):
+    return all(pp.base.in_a0(v) for v in f.terms.values())
+
+
+def poly_is_tangible(pp, f):
+    return len(f.terms) == 1 and pp.base.is_tangible(next(iter(f.terms.values())))
+
+
+def poly_sample(pp, window):
+    coeffs = list(pp.base.carrier.sample(max(2, window // 4)))
+    out = []
+    for f in pp.enumerate(1, coeffs=coeffs):
+        out.append(f)
+        if len(out) >= window * window:
+            break
+    return out

@@ -3,16 +3,18 @@ import random
 
 import pytest
 
+from pairalg.cli import builtin_structures
 from pairalg.errors import PreconditionError
-from pairalg.pairs import SemiringPair
-from pairalg.polynomials import (GeometricCongruence, Polynomial,
+from pairalg.pairs import (SemiringPair, is_shallow, verify_admissible,
+                           verify_surpassing)
+from pairalg.polynomials import (GeometricCongruence, Polynomial, PolynomialPair,
                                  check_mixed_associativity,
                                  check_polypair_semiprime, compose_star,
                                  find_preceq_roots, functional_equal,
                                  is_tangible_poly,
                                  parse_poly, poly_eval, twist_compose_product,
                                  twist_substitute)
-from pairalg.semirings import nat_plus_times
+from pairalg.semirings import nat_plus_times, verify_semiring_axioms
 
 
 def st_domain(lo, hi):
@@ -142,3 +144,17 @@ def test_polypair_semiprime_fails_with_base(st3):
     assert not out["base_semiprime"]
     assert not out["poly_semiprime"]
     assert out["witness"] is not None
+
+
+@pytest.mark.parametrize("name", ["boolean", "double-boolean",
+                                  "supertropical-naturals",
+                                  "supertropical-integers", "nat-plus-times"])
+def test_generic_checks_apply_to_polynomial_pairs(name):
+    pp = PolynomialPair(builtin_structures(name)["pair"])
+    assert isinstance(pp, SemiringPair)
+    for window in (2, 4):
+        assert verify_admissible(pp, window=window).valid
+        assert verify_surpassing(pp, window=window).valid
+    # the window-4 sample holds a two-term polynomial such as x + 1
+    assert is_shallow(pp, window=4) is False
+    assert verify_semiring_axioms(pp.carrier, window=4).valid

@@ -245,6 +245,29 @@ def test_cli_window_only_where_it_is_read(capsys):
     assert "unrecognized arguments: --window 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "supertropical-integers"], "--window"),
+    (["shallow", "nat-plus-times"], "--window"),
+    (["property-n", "supertropical-naturals"], "--window"),
+    (["polyroots", "supertropical-naturals", "--poly", "x + 1"], "--window"),
+    (["classify-element", "boolean", "--element", "x"], "--window"),
+    (["classify-element", "boolean", "--element", "x"], "--degree"),
+    (["ore-witness", "supertropical-naturals", "--a1", "1", "--a2", "2"],
+     "--window"),
+    (["ore-witness", "supertropical-naturals", "--a1", "1", "--a2", "2"],
+     "--degree"),
+    (["growth", "--free-letters", "2"], "--kmax"),
+    (["hilbert", "--free-letters", "2"], "--kmax"),
+    (["gk", "--free-letters", "2"], "--kmax"),
+])
+def test_cli_negative_bound_is_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, "-1"])
+    assert exc.value.code == 2
+    assert ("argument %s: must be >= 0, got -1" % option
+            in capsys.readouterr().err)
+
+
 def test_cli_radical_noncommutative_is_input_error(tmp_path, capsys):
     p, _ = boolean_matrices()
     path = tmp_path / "bmat2.pair"
