@@ -16,8 +16,8 @@ from . import growth as growth_mod
 from .congruences import (NO_PAIR_CONGRUENCE, NoPairCongruence, diagonal,
                           enumerate_congruences, generate_congruence,
                           prime_spectrum_krull, radical as radical_op)
-from .errors import (BoundExhausted, NO, PairAlgError, PreconditionError,
-                     StructureError, UNKNOWN, UnsupportedStructureError, YES)
+from .errors import (BoundExhausted, NO, PreconditionError, StructureError,
+                     UNKNOWN, UnsupportedStructureError, YES)
 from .extensions import ExtensionPair, is_algebraic, is_congruence_algebraic, is_integral
 from .fractions import OreFailure, build_fraction_pair
 from .hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHyperring,
@@ -62,7 +62,7 @@ def builtin_structures(name):
     if name == "nat-plus-times":
         s = nat_plus_times()
         return {"semiring": s,
-                "pair": SemiringPair(s, a0=lambda x: x == 0,
+                "pair": SemiringPair(s, a0=[0],
                                      tangibles=lambda x: x != 0,
                                      name="nat_plus_times")}
     return None

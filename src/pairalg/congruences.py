@@ -10,7 +10,7 @@ Universalis 59, 2008): each merge pushes the merged pair through the
 translations x -> x + c, x -> xc and x -> cx."""
 
 import itertools
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import itemgetter
 
 from .errors import (
@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedStructureError, Verdict, YES,
 )
 from .semirings import FiniteSemiring, tabulate, twist_product
-from .pairs import SemiringPair, verify_admissible
+from .pairs import SemiringPair, additive_closure, verify_admissible
 
 # Marker returned when a closure or an intersection has no pair-congruence
 # to give back (the radical escapes into T x A0, or the prime set is empty).
@@ -76,22 +76,22 @@ class _Index:
         return None
 
 
-def _close(ix, seeds, base=None, translate=True, stop=True, max_size=None):
+def _close(ix, seeds, base=None, translate=True, stop=True):
     """Union-find closure of a class array (the diagonal by default) and
     position pairs. With ``translate`` each merge pushes the merged pair
     through every translation, so the result is the least congruence above
     both; without it, the least equivalence, which is the join when the
     seeds are a congruence's pairs. With ``stop``, a merge that meets
-    T x A0 raises NoPairCongruence; past ``max_size`` pairs, BoundExhausted."""
+    T x A0 raises NoPairCongruence. There are at most n - 1 merges, each
+    pushing one pair per table column, so the work is bounded by the
+    tables and needs no cap."""
     n = len(ix.kind)
     if base is None:
-        parent, mark, size = list(range(n)), list(ix.kind), [1] * n
+        parent, mark = list(range(n)), list(ix.kind)
     else:
-        parent, mark, size = list(base), [0] * n, [0] * n
+        parent, mark = list(base), [0] * n
         for x, r in enumerate(base):
             mark[r] |= ix.kind[x]
-            size[r] += 1
-    pairs = sum(s * s for s in size)
     tables = ix.tables if translate else ()
     work = list(seeds)
     while work:
@@ -109,13 +109,9 @@ def _close(ix, seeds, base=None, translate=True, stop=True, max_size=None):
         if rb < ra:
             ra, rb = rb, ra
         parent[rb] = ra
-        pairs += 2 * size[ra] * size[rb]
-        size[ra] += size[rb]
         mark[ra] |= mark[rb]
         if stop and mark[ra] == TANGIBLE | QUASI_ZERO:
             raise NoPairCongruence(ix.escape(_flatten(parent)))
-        if max_size is not None and pairs > max_size:
-            raise BoundExhausted("closure exceeded max_size=%d pairs" % max_size)
         for t in tables:
             work.extend(zip(t[a], t[b]))
     return _flatten(parent)
@@ -195,11 +191,6 @@ class Congruence:
         return Congruence(self.pair, _meet(self.cls, other.cls),
                           index=self.index)
 
-    def classes(self):
-        e = self.index.elems
-        return [frozenset(e[x] for x in block)
-                for block in self._members().values()]
-
     def sorted_pairs(self):
         e = self.index.elems
         return [(e[a], e[b]) for a, b in self._pairs()]
@@ -218,18 +209,17 @@ def diagonal(p):
     return Congruence(p, range(len(ix.kind)), index=ix)
 
 
-def generate_congruence(p, seeds, max_size=200000, require_admissible=True):
+def generate_congruence(p, seeds, require_admissible=True):
     """Least congruence containing the seeds, by union-find closure. By
     default raises NoPairCongruence as soon as the closure meets T x A0;
     with require_admissible=False the carrier-level closure is returned and
-    the admissible flag records the outcome. A closure past ``max_size``
-    pairs raises BoundExhausted."""
+    the admissible flag records the outcome."""
     if not p.carrier.finite:
         raise PreconditionError("closure needs a finite carrier; truncate first")
     ix = _Index(p)
     pos = ix.pos
     cls = _close(ix, [(pos[a], pos[b]) for a, b in seeds],
-                 stop=require_admissible, max_size=max_size)
+                 stop=require_admissible)
     return Congruence(p, cls, require_admissible, ix)
 
 
@@ -505,15 +495,8 @@ def prime_spectrum_krull(p):
     primes = [c for c in lattice if is_prime(c, work)]
     semiprimes = {c.cls for c in lattice if is_semiprime(c, work)}
     # intersections of nonempty sets of primes: the primes closed under meets
-    from_primes = {q.cls for q in primes}
-    frontier = list(from_primes)
-    while frontier:
-        cls = frontier.pop()
-        for q in primes:
-            m = _meet(cls, q.cls)
-            if m not in from_primes:
-                from_primes.add(m)
-                frontier.append(m)
+    from_primes = additive_closure(None, [q.cls for q in primes],
+                                   [partial(_meet, q.cls) for q in primes])
     assert semiprimes == from_primes, "semiprime/prime-intersection mismatch"
     dim = _longest_chain(primes) if primes else None
     return {

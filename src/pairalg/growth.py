@@ -2,6 +2,7 @@
 Hilbert series, Gelfand-Kirillov estimates, and Ore-type common-multiple
 witnesses over semidomain pairs."""
 
+import functools
 import itertools
 import math
 from statistics import linear_regression
@@ -31,26 +32,13 @@ class ModulePair:
         return any(self.add(v1, n) == v2 for n in self.n_image)
 
     def span(self, gens):
-        """Closure of the generators plus N under addition and T-action."""
-        current = set(self.n_image) | {self.zero} | set(gens)
-        scalars = list(self.pair.carrier.elements())
-        grown = True
-        while grown:
-            grown = False
-            snapshot = list(current)
-            for v in snapshot:
-                for a in scalars:
-                    w = self.smul(a, v)
-                    if w not in current:
-                        current.add(w)
-                        grown = True
-            snapshot = list(current)
-            for v, w in itertools.product(snapshot, repeat=2):
-                u = self.add(v, w)
-                if u not in current:
-                    current.add(u)
-                    grown = True
-        return current
+        """Closure of the generators plus N under addition and the action of
+        every scalar. The module's addition must commute, as it does in a
+        module."""
+        seeds = set(self.n_image) | {self.zero} | set(gens)
+        acts = [functools.partial(self.smul, a)
+                for a in self.pair.carrier.elements()]
+        return additive_closure(self.add, seeds, acts)
 
 
 def verify_module_pair(mp, admissible=False):

@@ -99,7 +99,8 @@ class SemiringPair:
         for y in a0:
             if self.add(b1, y) == b2:
                 return True
-        return False if self.finite else None
+        # a listed A0 is searched whole, so a miss is decided
+        return False if self.finite or self._a0 is not None else None
 
     def __repr__(self):
         return "SemiringPair(%s)" % self.name
@@ -122,13 +123,23 @@ def _layer(carrier, layer):
 # Admissibility and shallowness
 
 
-def additive_closure(add, seeds):
-    """Closure of the collection ``seeds`` under a commutative operation
-    ``add`` that reaches finitely many values."""
+def additive_closure(add, seeds, acts=()):
+    """Closure of the collection ``seeds`` under an operation ``add`` (None
+    for none) and the maps in ``acts``, reaching finitely many values. Each
+    map is applied once to each reached value, and at least one of x + y and
+    y + x is formed for each pair of reached values, so ``add`` must
+    commute."""
     reached = set(seeds)
     frontier = list(seeds)
     while frontier:
         x = frontier.pop()
+        for f in acts:
+            s = f(x)
+            if s not in reached:
+                reached.add(s)
+                frontier.append(s)
+        if add is None:
+            continue
         for y in list(reached):
             s = add(x, y)
             if s not in reached:

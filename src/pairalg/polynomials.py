@@ -240,8 +240,6 @@ def compose_star(f, g):
 
 # polynomials under + and the substitution product
 _COMPOSITION = SimpleNamespace(add=operator.add, mul=compose_star)
-# polynomials under + and the convolution product
-_CONVOLUTION = SimpleNamespace(add=operator.add, mul=operator.mul)
 
 
 def twist_compose_product(x, y):
@@ -264,10 +262,6 @@ def check_mixed_associativity(fpair, gpair, z):
     if False in below:
         return "fails"
     return "unknown" if None in below else "surpasses"
-
-
-def twist_conv_product(x, y):
-    return twist_product(_CONVOLUTION, x, y)
 
 
 class GeometricCongruence:
@@ -297,6 +291,7 @@ def check_polypair_semiprime(p, degree=1):
 
     base_semiprime = is_semiprime(diagonal(p))
     pp = PolynomialPair(p)
+    c = pp.carrier
     polys = list(pp.enumerate(degree))
     mids = [(g1, g2) for g1 in polys for g2 in polys]
     witness = None
@@ -306,7 +301,7 @@ def check_polypair_semiprime(p, degree=1):
                 continue
             x = (f1, f2)
             if all(s1 == s2 for s1, s2 in
-                   (twist_conv_product(twist_conv_product(x, y), x) for y in mids)):
+                   (twist_product(c, twist_product(c, x, y), x) for y in mids)):
                 witness = x
                 break
         if witness:

@@ -15,14 +15,11 @@ from .pairs import DEFAULT_WINDOW, SemiringPair
 class Carrier:
     """Arithmetic every carrier derives from its ``mul`` and ``one``."""
 
-    def prod(self, xs):
+    def power(self, x, k):
         acc = self.one
-        for x in xs:
+        for _ in range(k):
             acc = self.mul(acc, x)
         return acc
-
-    def power(self, x, k):
-        return self.prod(itertools.repeat(x, k))
 
 
 def twist_product(c, x, y):
@@ -217,28 +214,12 @@ def nmax_trunc(n):
     if n < 1:
         raise StructureError("truncation bound must be >= 1")
     labels = ["-inf"] + [str(i) for i in range(n + 1)]
-    size = n + 2
-
-    def val(i):
-        return None if i == 0 else i - 1
-
-    def idx(v):
-        return 0 if v is None else min(v, n) + 1
-
-    add = [[idx(max_opt(val(i), val(j))) for j in range(size)] for i in range(size)]
-    mul = [
-        [idx(None if val(i) is None or val(j) is None else val(i) + val(j)) for j in range(size)]
-        for i in range(size)
-    ]
+    # position i > 0 holds the value i - 1, so max and saturating plus of
+    # values are max and min(i + j - 1, n + 1) of positions
+    pos = range(n + 2)
+    add = [[max(i, j) for j in pos] for i in pos]
+    mul = [[0 if 0 in (i, j) else min(i + j - 1, n + 1) for j in pos] for i in pos]
     return FiniteSemiring(labels, add, mul, zero=0, one=1, name="nmax_trunc(%d)" % n)
-
-
-def max_opt(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
 
 
 def nat_plus_times():
@@ -366,7 +347,6 @@ def supertropical_extension(t):
         carrier,
         a0=lambda x: x == ST_ZERO or x[0] == "g",
         tangibles=lambda x: x != ST_ZERO and x[0] == "t",
-        tangible_sample=lambda window: [("t", v) for v in t.sample(window)],
         surpass_fn=st_surpass,
         negation_hint=lambda x: x,
         name=carrier.name,

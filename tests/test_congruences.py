@@ -161,8 +161,6 @@ def test_search_caps_raise_bound_exhausted(monkeypatch):
                      name="nmax64-pair")
     with pytest.raises(BoundExhausted, match="max_elems=64"):
         enumerate_congruences(p)
-    with pytest.raises(BoundExhausted, match="max_size=50"):
-        generate_congruence(p, [(n64.index("2"), n64.index("8"))], max_size=50)
     # the max-min chain of 6 elements has 16 pair-congruences
     chain = FiniteSemiring([str(i) for i in range(6)],
                            [[max(i, j) for j in range(6)] for i in range(6)],
@@ -190,3 +188,12 @@ def test_classification_budget_raises_bound_exhausted(monkeypatch, bool_pair):
     monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 8)
     with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=8"):
         prime_spectrum_krull(bool_pair)
+
+
+def test_closure_needs_no_cap_on_a_large_carrier():
+    # 514 elements: relating 2 with the top merges every value from 2 up
+    n512 = nmax_trunc(512)
+    p = SemiringPair(n512, a0=[n512.zero], tangibles=list(range(1, n512.n)),
+                     name="nmax512-pair")
+    cong = generate_congruence(p, [(n512.index("2"), n512.index("512"))])
+    assert cong.cls == (0, 1, 2) + (3,) * 511

@@ -1,5 +1,6 @@
 import pytest
 
+from pairalg.cli import builtin_structures
 from pairalg.errors import NO, YES
 from pairalg.pairs import (SemiringPair, check_nondegenerate,
                            check_reversibility, check_weakly_bipotent,
@@ -139,3 +140,16 @@ def test_center_of_commutative_pair(bool_pair, st3, double_bool):
         center = compute_center(p)
         assert center["center"] == list(p.elements())
         assert center["is_commutative"]
+
+
+def test_listed_a0_decides_precedes_zero():
+    # nat-plus-times lists A0 = {0}: a miss is False, found without sampling
+    p = builtin_structures("nat-plus-times")["pair"]
+
+    def no_sample(window):
+        raise AssertionError("surpasses sampled the carrier")
+
+    p.carrier.sample_fn = no_sample
+    assert p.surpasses(2, 3) is False
+    assert p.surpasses(3, 3) is True
+    assert p.a0_elements() == [0]

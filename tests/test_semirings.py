@@ -76,3 +76,18 @@ def test_double_negation_swaps(double_bool):
         x = c.labels.index(lab)
         y = c.labels.index(swapped)
         assert double_bool.in_a0(c.add(x, y))
+
+
+def test_nmax_trunc_tables_are_truncated_max_plus():
+    # position 0 is -inf and position i > 0 the value i - 1; sums take the
+    # max, products add the values and saturate at n
+    for n in range(1, 40):
+        s = nmax_trunc(n)
+        values = [None] + list(range(n + 1))
+        assert s.labels == ["-inf"] + [str(v) for v in values[1:]]
+        for i, a in enumerate(values):
+            for j, b in enumerate(values):
+                top = max((v for v in (a, b) if v is not None), default=None)
+                prod = None if None in (a, b) else min(a + b, n)
+                assert values[s.add(i, j)] == top
+                assert values[s.mul(i, j)] == prod

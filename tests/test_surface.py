@@ -1,0 +1,55 @@
+"""The library's surface, read from its source: the number of parameters a
+caller can leave out does not rise, and every name a module imports is used.
+A change that adds a knob raises ``SETTABLE_PARAMETERS`` in the same diff and
+says why."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "pairalg")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+
+# defaulted parameters over every def in src/pairalg
+SETTABLE_PARAMETERS = 82
+
+
+def tree(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        return ast.parse(fh.read(), module)
+
+
+def settable(node):
+    args = node.args
+    return len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+
+
+def test_settable_parameters_do_not_rise():
+    count = sum(settable(node) for module in MODULES
+                for node in ast.walk(tree(module))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    assert count <= SETTABLE_PARAMETERS
+
+
+def exported(t):
+    """The names listed in a module's ``__all__``."""
+    for node in t.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(x, "id", None) == "__all__" for x in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    t = tree(module)
+    imported = {}
+    for node in ast.walk(t):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(t) if isinstance(node, ast.Name)}
+    unused = set(imported) - used - exported(t)
+    assert not unused, ["%s:%d %s" % (module, imported[n], n) for n in sorted(unused)]
