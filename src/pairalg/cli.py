@@ -24,8 +24,7 @@ from .hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHyperring,
                     krasner_quotient, powerset_pair, verify_semihypergroup,
                     verify_semihyperring)
 from .pairs import SemiringPair, is_shallow, property_n_status, verify_admissible
-from .polynomials import (Polynomial, PolynomialPair, find_preceq_roots,
-                          parse_poly)
+from .polynomials import find_preceq_roots, parse_poly
 from .semirings import (boolean_semiring, double, nmax_trunc, nat_plus_times,
                         supertropical_extension, supertropical_integers,
                         supertropical_naturals, trivial_monoid,
@@ -122,8 +121,7 @@ def verdict_code(v):
 # subcommand handlers
 
 
-def cmd_verify(args):
-    structs = load_input(args.structure)
+def cmd_verify(args, structs):
     reports = {}
     ok = True
     if "hyper" in structs:
@@ -145,8 +143,7 @@ def cmd_verify(args):
                 EXIT_OK if ok else EXIT_FAIL)
 
 
-def cmd_shallow(args):
-    p = need(load_input(args.structure), "pair", args.structure)
+def cmd_shallow(args, p):
     flag = is_shallow(p, window=args.window)
     report = {"shallow": flag}
     if not p.finite:
@@ -154,24 +151,21 @@ def cmd_shallow(args):
     return emit(args, report, "shallow: %s" % flag, EXIT_OK if flag else EXIT_FAIL)
 
 
-def cmd_property_n(args):
-    p = need(load_input(args.structure), "pair", args.structure)
+def cmd_property_n(args, p):
     status = property_n_status(p, window=args.window)
     code = EXIT_OK if status.status != "none" else EXIT_FAIL
     return emit(args, {"result": status},
                 "property-n: %s" % status.status, code)
 
 
-def cmd_congruences(args):
-    p = need(load_input(args.structure), "pair", args.structure)
+def cmd_congruences(args, p):
     congs = enumerate_congruences(p)
     return emit(args, {"count": len(congs),
                        "congruences": [c.as_json() for c in congs]},
                 "%d pair-congruences" % len(congs), EXIT_OK)
 
 
-def cmd_spectrum(args):
-    p = need(load_input(args.structure), "pair", args.structure)
+def cmd_spectrum(args, p):
     spec = prime_spectrum_krull(p)
     dim = spec["krull_dimension"]
     summary = "%d primes, Krull dimension %s" % (len(spec["primes"]),
@@ -184,8 +178,7 @@ def cmd_spectrum(args):
                 summary, EXIT_OK if spec["primes"] else EXIT_FAIL)
 
 
-def cmd_krull(args):
-    p = need(load_input(args.structure), "pair", args.structure)
+def cmd_krull(args, p):
     spec = prime_spectrum_krull(p)
     dim = spec["krull_dimension"]
     if dim is None:
@@ -208,8 +201,7 @@ def _parse_seed_pairs(p, text):
     return seeds
 
 
-def cmd_radical(args):
-    p = need(load_input(args.structure), "pair", args.structure)
+def cmd_radical(args, p):
     if not p.finite:
         raise StructureError("radical expects a finite structure")
     try:
@@ -229,8 +221,7 @@ def cmd_radical(args):
                 "radical has %d pairs" % len(rad.relation), EXIT_OK)
 
 
-def cmd_polyroots(args):
-    p = need(load_input(args.structure), "pair", args.structure)
+def cmd_polyroots(args, p):
     f = parse_poly(p, args.poly)
     roots = find_preceq_roots(f, p.elements(args.window))
     labels = [p.label(r[0]) for r in roots]
@@ -241,8 +232,7 @@ def cmd_polyroots(args):
                 EXIT_OK if roots else EXIT_FAIL)
 
 
-def cmd_localize(args):
-    p = need(load_input(args.structure), "pair", args.structure)
+def cmd_localize(args, p):
     if not p.finite:
         raise StructureError("localize expects a finite structure file")
     S = [p.carrier.index(lab) for lab in args.s_subset.split()]
@@ -264,11 +254,8 @@ def cmd_localize(args):
     return emit(args, report, "fraction pair with %d classes" % c.n, EXIT_OK)
 
 
-def cmd_classify_element(args):
-    p = need(load_input(args.structure), "pair", args.structure)
-    polypair = PolynomialPair(p)
-    ext = ExtensionPair(p, polypair,
-                        embed=lambda a: Polynomial.constant(p, 1, a))
+def cmd_classify_element(args, p):
+    ext = ExtensionPair(p)
     y = parse_poly(p, args.element)
     integral = is_integral(ext, y, degree_bound=args.degree, window=args.window)
     algebraic = is_algebraic(ext, y, degree_bound=args.degree,
@@ -294,7 +281,8 @@ def cmd_classify_element(args):
     return emit(args, report, "classification: %s" % kind, code)
 
 
-def _growth_model(args):
+def _profile(args):
+    """The growth profile, up to --kmax, of the one model the flags pick."""
     sizes = [("free", args.free_letters), ("commutative", args.poly_letters),
              ("matrix_units", args.matrix_units)]
     chosen = [(kind, n) for kind, n in sizes if n is not None]
@@ -302,18 +290,17 @@ def _growth_model(args):
         raise StructureError("pick exactly one of --free-letters, "
                              "--poly-letters, --matrix-units")
     kind, n = chosen[0]
-    return growth_mod.build_model(kind, n)
+    return growth_mod.growth_sequence(growth_mod.build_model(kind, n),
+                                      args.kmax)
 
 
-def cmd_growth(args):
-    profile = growth_mod.growth_sequence(_growth_model(args), args.kmax)
+def cmd_growth(args, profile):
     code = EXIT_BOUND if profile.truncated else EXIT_OK
     return emit(args, {"profile": profile},
                 "d = %s" % profile.d, code)
 
 
-def cmd_hilbert(args):
-    profile = growth_mod.growth_sequence(_growth_model(args), args.kmax)
+def cmd_hilbert(args, profile):
     series = growth_mod.hilbert_series(profile)
     return emit(args, {"model": profile.model.name,
                        "kmax": args.kmax, "coefficients": series["coefficients"]},
@@ -321,8 +308,7 @@ def cmd_hilbert(args):
                 EXIT_BOUND if profile.truncated else EXIT_OK)
 
 
-def cmd_gk(args):
-    profile = growth_mod.growth_sequence(_growth_model(args), args.kmax)
+def cmd_gk(args, profile):
     head = {"model": profile.model.name, "truncated": profile.truncated}
     if profile.truncated:
         # a cut profile gives no estimate, however many levels it kept
@@ -336,17 +322,19 @@ def cmd_gk(args):
     return emit(args, {**head, "result": est}, summary, EXIT_OK)
 
 
-def cmd_ore_witness(args):
-    structs = load_input(args.structure)
-    p = need(structs, "pair", args.structure)
-
+def cmd_ore_witness(args, p):
     def grab(text):
         if p.finite:
-            return p.carrier.index(text)
-        try:
-            return ("t", int(text))
-        except ValueError:
-            raise StructureError("tangible %r is not an integer" % text) from None
+            a = p.carrier.index(text)
+        else:
+            try:
+                a = ("t", int(text))
+            except ValueError:
+                raise StructureError("tangible %r is not an integer"
+                                     % text) from None
+        if not p.is_tangible(a):
+            raise StructureError("%r is not tangible" % text)
+        return a
 
     a1, a2 = grab(args.a1), grab(args.a2)
     v = growth_mod.ore_witness(p, a1, a2, degree_bound=args.degree,
@@ -357,9 +345,7 @@ def cmd_ore_witness(args):
                 summary, verdict_code(v))
 
 
-def cmd_krasner(args):
-    structs = load_input(args.structure)
-    s = need(structs, "semiring", args.structure)
+def cmd_krasner(args, s):
     if not s.finite:
         raise StructureError("krasner expects a finite semiring")
     g = [s.index(lab) for lab in args.subgroup.split()]
@@ -371,9 +357,7 @@ def cmd_krasner(args):
                 "quotient has %d classes, valid" % h.n, EXIT_OK)
 
 
-def cmd_powerset(args):
-    structs = load_input(args.structure)
-    h = need(structs, "hyper", args.structure)
+def cmd_powerset(args, h):
     choice = (A0_SIZE_GE_TWO if args.a0_choice == "size_ge_two"
               else A0_CONTAINS_ZERO)
     p = powerset_pair(h, choice)
@@ -408,9 +392,11 @@ def build_parser():
         "congruence spectra, localization, growth.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, structure=True, window=False):
+    def add(name, fn, needs, window=False):
+        # fn(args, input) reads the input's section ``needs`` ("any": all of
+        # it), or for ``needs=None`` the growth profile its flags pick
         sp = sub.add_parser(name)
-        if structure:
+        if needs:
             sp.add_argument("structure",
                             help="structure file or builtin name")
         if window:
@@ -418,51 +404,51 @@ def build_parser():
                             default=DEFAULT_WINDOW)
         sp.add_argument("--json", action="store_true",
                         help="suppress the stderr summary")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, needs=needs)
         return sp
 
-    add("verify", cmd_verify, window=True)
-    add("shallow", cmd_shallow, window=True)
-    add("property-n", cmd_property_n, window=True)
-    add("congruences", cmd_congruences)
-    add("spectrum", cmd_spectrum)
-    add("krull", cmd_krull)
+    add("verify", cmd_verify, "any", window=True)
+    add("shallow", cmd_shallow, "pair", window=True)
+    add("property-n", cmd_property_n, "pair", window=True)
+    add("congruences", cmd_congruences, "pair")
+    add("spectrum", cmd_spectrum, "pair")
+    add("krull", cmd_krull, "pair")
 
-    sp = add("radical", cmd_radical)
+    sp = add("radical", cmd_radical, "pair")
     sp.add_argument("--generators", default="",
                     help="seed pairs 'a,b;c,d' (default: diagonal)")
 
-    sp = add("polyroots", cmd_polyroots, window=True)
+    sp = add("polyroots", cmd_polyroots, "pair", window=True)
     sp.add_argument("--poly", required=True,
                     help="polynomial such as 'x^2 + 1*x + 4'")
 
-    sp = add("localize", cmd_localize)
+    sp = add("localize", cmd_localize, "pair")
     sp.add_argument("--s-subset", required=True,
                     help="denominator labels, whitespace separated")
 
-    sp = add("classify-element", cmd_classify_element, window=True)
+    sp = add("classify-element", cmd_classify_element, "pair", window=True)
     sp.add_argument("--element", required=True,
                     help="polynomial expression for the element")
     sp.add_argument("--degree", type=non_negative_int, default=3)
 
     for name, fn in (("growth", cmd_growth), ("hilbert", cmd_hilbert),
                      ("gk", cmd_gk)):
-        sp = add(name, fn, structure=False)
+        sp = add(name, fn, None)
         sp.add_argument("--free-letters", type=int)
         sp.add_argument("--poly-letters", type=int)
         sp.add_argument("--matrix-units", type=int)
         sp.add_argument("--kmax", type=non_negative_int, default=8)
 
-    sp = add("ore-witness", cmd_ore_witness, window=True)
+    sp = add("ore-witness", cmd_ore_witness, "pair", window=True)
     sp.add_argument("--a1", required=True)
     sp.add_argument("--a2", required=True)
     sp.add_argument("--degree", type=non_negative_int, default=2)
 
-    sp = add("krasner", cmd_krasner)
+    sp = add("krasner", cmd_krasner, "semiring")
     sp.add_argument("--subgroup", required=True,
                     help="subgroup element labels, whitespace separated")
 
-    sp = add("powerset", cmd_powerset)
+    sp = add("powerset", cmd_powerset, "hyper")
     sp.add_argument("--a0-choice", default="contains_zero",
                     choices=["contains_zero", "size_ge_two"])
 
@@ -481,7 +467,11 @@ def main(argv=None):
              if getattr(args, "json", False) else contextlib.nullcontext())
     with quiet:
         try:
-            return args.fn(args)
+            if args.needs is None:
+                return args.fn(args, _profile(args))
+            structs = load_input(args.structure)
+            return args.fn(args, structs if args.needs == "any"
+                           else need(structs, args.needs, args.structure))
         except (StructureError, PreconditionError,
                 UnsupportedStructureError) as exc:
             print("input error: %s" % exc, file=sys.stderr)

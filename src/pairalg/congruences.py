@@ -26,10 +26,11 @@ NO_PAIR_CONGRUENCE = "no pair-congruence"
 
 TANGIBLE, QUASI_ZERO = 1, 2
 
-# Work caps: enumeration stops past MAX_CONGRUENCES congruences (Bell(8), the
-# most an 8-element carrier can have), and one classification run stops past
-# MAX_TWIST_PRODUCTS twist products (under a second of CPU time on a 2-core
-# x86-64 host).
+# Work caps: enumeration refuses carriers past MAX_ELEMS elements and stops
+# past MAX_CONGRUENCES congruences (Bell(8), the most an 8-element carrier can
+# have), and one classification run stops past MAX_TWIST_PRODUCTS twist
+# products (under a second of CPU time on a 2-core x86-64 host).
+MAX_ELEMS = 64
 MAX_CONGRUENCES = 4140
 MAX_TWIST_PRODUCTS = 1000000
 
@@ -165,9 +166,6 @@ class Congruence:
     def relation(self):
         """The congruence as a frozenset of element pairs."""
         return frozenset(self.sorted_pairs())
-
-    def contains(self, a, b):
-        return (a, b) in self
 
     def __contains__(self, x):
         a, b = x
@@ -334,23 +332,24 @@ def is_irreducible(cong, lattice):
     return not above or reduce(_meet, above) != cong.cls
 
 
-def classify_congruence(cong, lattice=None):
-    """Record of prime / semiprime / irreducible. Irreducibility needs the
-    enumerated lattice; when given, the consistency of
-    prime = semiprime and irreducible is asserted."""
+def classify_congruence(cong, lattice):
+    """Record of prime / semiprime / irreducible, irreducibility read off
+    the enumerated lattice. Raises AssertionError unless prime = semiprime
+    and irreducible."""
     work = _Work()
-    out = {"semiprime": is_semiprime(cong, work), "prime": is_prime(cong, work)}
-    if lattice is not None:
-        out["irreducible"] = is_irreducible(cong, lattice)
-        assert out["prime"] == (out["semiprime"] and out["irreducible"])
+    out = {"semiprime": is_semiprime(cong, work), "prime": is_prime(cong, work),
+           "irreducible": is_irreducible(cong, lattice)}
+    if out["prime"] != (out["semiprime"] and out["irreducible"]):
+        raise AssertionError
     return out
 
 
 def radical(cong):
     """Twist-power radical: pairs with some twist power inside, then closed
     to a congruence. Returns NO_PAIR_CONGRUENCE when the closure escapes
-    into T x A0. On carriers of at most 5 elements, asserts semiprimeness
-    and agreement with the intersection of primes above."""
+    into T x A0. On carriers of at most 5 elements, checks that the radical
+    contains the congruence, is semiprime and is the intersection of the
+    primes above, and raises AssertionError otherwise."""
     p = cong.pair
     if len(cong.index.tables) == 3:
         # _Index keeps mul by columns exactly when mul does not commute
@@ -371,11 +370,11 @@ def radical(cong):
         rad = generate_congruence(p, members)
     except NoPairCongruence:
         return NO_PAIR_CONGRUENCE
-    if len(elems) <= 5:
-        assert cong <= rad
-        assert is_semiprime(rad)
-        lattice = enumerate_congruences(p)
-        assert rad == intersection_of_primes_above(cong, lattice)
+    if len(elems) <= 5 and not (
+            cong <= rad and is_semiprime(rad)
+            and rad == intersection_of_primes_above(
+                cong, enumerate_congruences(p))):
+        raise AssertionError
     return rad
 
 
@@ -425,21 +424,21 @@ def _principal_congruences(ix):
     return principal
 
 
-def enumerate_congruences(p, max_elems=64):
+def enumerate_congruences(p):
     """All pair-congruences on a finite carrier: the diagonal closed under
     joins with the admissible principal congruences Cg(a, b); a join with
     Cg(a, b) is skipped when the base already relates a and b. Admissible
     congruences form a down-set, so a join that meets T x A0 is dropped at
     once. Sorted by relation size then canonical pair order, so the
-    diagonal comes first. Carriers past ``max_elems`` and lattices past
+    diagonal comes first. Carriers past MAX_ELEMS and lattices past
     MAX_CONGRUENCES raise BoundExhausted."""
     if not p.carrier.finite:
         raise PreconditionError("enumeration needs a finite carrier")
     n = len(list(p.carrier.elements()))
-    if n > max_elems:
+    if n > MAX_ELEMS:
         raise BoundExhausted(
             "carrier has %d elements; congruence enumeration is capped at "
-            "max_elems=%d" % (n, max_elems))
+            "MAX_ELEMS=%d" % (n, MAX_ELEMS))
     ix = _Index(p)
     if ix.escape(range(n)) is not None:
         return []  # an element in both T and A0: even the diagonal escapes
@@ -489,7 +488,7 @@ def prime_spectrum_krull(p):
     """Prime congruences and Krull dimension of a finite pair. Also checks
     that every semiprime congruence is an intersection of a nonempty set of
     primes, and vice versa. The classification of the whole lattice shares
-    one budget of MAX_TWIST_PRODUCTS."""
+    one budget of MAX_TWIST_PRODUCTS. A mismatch raises AssertionError."""
     lattice = enumerate_congruences(p)
     work = _Work()
     primes = [c for c in lattice if is_prime(c, work)]
@@ -497,7 +496,8 @@ def prime_spectrum_krull(p):
     # intersections of nonempty sets of primes: the primes closed under meets
     from_primes = additive_closure(None, [q.cls for q in primes],
                                    [partial(_meet, q.cls) for q in primes])
-    assert semiprimes == from_primes, "semiprime/prime-intersection mismatch"
+    if semiprimes != from_primes:
+        raise AssertionError("semiprime/prime-intersection mismatch")
     dim = _longest_chain(primes) if primes else None
     return {
         "congruences": lattice,

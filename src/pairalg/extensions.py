@@ -6,22 +6,23 @@ import itertools
 
 from .errors import (AxiomReport, BoundExhausted, NO, PreconditionError, UNKNOWN,
                      Verdict, YES)
-from .polynomials import Polynomial, poly_eval
+from .polynomials import Polynomial, PolynomialPair, poly_eval
 
 
 class ExtensionPair:
-    """Base pair embedded in an extension pair. The embedding defaults to
-    the identity (same carrier); centralizing means embedded tangibles
+    """A base pair A inside its polynomial extension A[lambda], each element
+    embedded as a constant polynomial; centralizing means embedded tangibles
     commute with everything in the extension."""
 
-    def __init__(self, base, ext, embed=None, name=""):
+    def __init__(self, base):
         self.base = base
-        self.ext = ext
-        self.embed = embed or (lambda a: a)
-        self.name = name or "extension"
+        self.ext = PolynomialPair(base)
+
+    def embed(self, a):
+        return Polynomial.constant(self.base, 1, a)
 
     def verify(self, window=20):
-        report = AxiomReport(subject=self.name, window=window)
+        report = AxiomReport(subject="extension", window=window)
         eb, ee = self.base.carrier, self.ext.carrier
         base = self.base.elements(window)
         extn = self.ext.elements(window)
@@ -125,15 +126,14 @@ def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=20):
 def is_congruence_algebraic(ext, y, degree_bound=2, window=12):
     """Transcendence test per the functional definition: y is congruence
     algebraic when some f1(y) dominating f2(y) fails to dominate at a base
-    point. Returns the violating (f1, f2, b) as certificate. Each candidate
-    is evaluated at y once, and at a base point the first time it is
-    needed there."""
+    point. Returns the violating (f1, f2, b) as certificate, and UNKNOWN
+    without one, as A[lambda] is infinite. Each candidate is evaluated at y
+    once, and at a base point the first time it is needed there."""
     p = ext.ext
     base_pair = ext.base
     base_pts = ext.base.elements(window)
     monos = [(k,) for k in range(degree_bound + 1)]
     powers = ext.powers(y, degree_bound)
-    unknown = False
     polys, at_y = [], []
     for choice in itertools.product(base_pts, repeat=len(monos)):
         polys.append(Polynomial(base_pair, 1, dict(zip(monos, choice))))
@@ -147,21 +147,12 @@ def is_congruence_algebraic(ext, y, degree_bound=2, window=12):
 
     for i, f1 in enumerate(polys):
         for j, f2 in enumerate(polys):
-            dom = p.surpasses(at_y[j], at_y[i])
-            if dom is None:
-                unknown = True
-                continue
-            if not dom:
+            if not p.surpasses(at_y[j], at_y[i]):
                 continue
             for k, b in enumerate(base_pts):
-                holds = base_pair.surpasses(value(j, k), value(i, k))
-                if holds is False:
+                if base_pair.surpasses(value(j, k), value(i, k)) is False:
                     return Verdict(YES, witness={"f1": f1, "f2": f2, "point": b})
-                if holds is None:
-                    unknown = True
-    if unknown or not (ext.base.carrier.finite and ext.ext.carrier.finite):
-        return Verdict(UNKNOWN, bound=degree_bound, detail="transcendental at bound")
-    return Verdict(NO, bound=degree_bound, detail="transcendental at bound")
+    return Verdict(UNKNOWN, bound=degree_bound, detail="transcendental at bound")
 
 
 # ---------------------------------------------------------------------------

@@ -193,33 +193,34 @@ def frac_mul(x, y):
     raise PreconditionError("no Ore witness for multiplication within bound")
 
 
+def _equivalent_to_layer(x, member, numerators):
+    """YES when x's numerator passes ``member``, or some fraction b/s, b from
+    ``numerators()`` and s in S, is equivalent to x, with witness (b, s). On
+    a symbolic carrier a miss is UNKNOWN within the window."""
+    ctx = x.ctx
+    if member(x.b):
+        return Verdict(YES)
+    for b in numerators():
+        for s in ctx.s_elements:
+            if frac_equiv(x, ctx.fraction(b, s)):
+                return Verdict(YES, witness=(b, s))
+    if ctx.pair.carrier.finite:
+        return Verdict(NO)
+    return Verdict(UNKNOWN, bound=ctx.window, detail="bounded search")
+
+
 def frac_in_a0(x):
     """Membership in S^-1 A0: equivalent to some fraction with quasi-zero
-    numerator. The numerator of an equivalent representative suffices on
-    central contexts; otherwise a bounded search runs."""
-    ctx = x.ctx
-    p = ctx.pair
-    if p.in_a0(x.b):
-        return Verdict(YES)
-    c = p.carrier
-    for b0 in p.a0_elements(ctx.window):
-        for s in ctx.s_elements:
-            if frac_equiv(x, ctx.fraction(b0, s)):
-                return Verdict(YES, witness=(b0, s))
-    return Verdict(NO) if c.finite else Verdict(UNKNOWN, detail="bounded search")
+    numerator."""
+    p, window = x.ctx.pair, x.ctx.window
+    return _equivalent_to_layer(x, p.in_a0, lambda: p.a0_elements(window))
 
 
 def frac_is_tangible(x):
+    """Membership in the tangibles of S^-1 A: equivalent to some fraction
+    with tangible numerator."""
     ctx = x.ctx
-    p = ctx.pair
-    if p.is_tangible(x.b):
-        return Verdict(YES)
-    c = p.carrier
-    for t in ctx.tangibles:
-        for s in ctx.s_elements:
-            if frac_equiv(x, ctx.fraction(t, s)):
-                return Verdict(YES, witness=(t, s))
-    return Verdict(NO) if c.finite else Verdict(UNKNOWN, detail="bounded search")
+    return _equivalent_to_layer(x, ctx.pair.is_tangible, lambda: ctx.tangibles)
 
 
 def _fraction_classes(ctx):

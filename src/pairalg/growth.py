@@ -155,20 +155,28 @@ def base_check(mp, S, coeff_pool=None):
     }
 
 
-def rank(mp, max_size=6, max_module=16):
+# Rank search caps: modules past MAX_RANK_MODULE elements are refused, and no
+# generating set past MAX_RANK_GENERATORS elements is tried.
+MAX_RANK_MODULE = 16
+MAX_RANK_GENERATORS = 6
+
+
+def rank(mp):
     """[M : N]: minimal number of extra generators whose span together with
     N recovers all of M. Exhaustive by increasing cardinality."""
-    if len(mp.elements) > max_module:
+    if len(mp.elements) > MAX_RANK_MODULE:
         raise BoundExhausted("module has %d elements; rank search is capped at "
-                             "max_module=%d" % (len(mp.elements), max_module))
+                             "MAX_RANK_MODULE=%d"
+                             % (len(mp.elements), MAX_RANK_MODULE))
     target = set(mp.elements)
     if mp.span([]) == target:
         return 0
-    for k in range(1, max_size + 1):
+    for k in range(1, MAX_RANK_GENERATORS + 1):
         for combo in itertools.combinations(mp.elements, k):
             if mp.span(combo) == target:
                 return k
-    raise BoundExhausted("no generating set of size <= max_size=%d" % max_size)
+    raise BoundExhausted("no generating set of size <= MAX_RANK_GENERATORS=%d"
+                         % MAX_RANK_GENERATORS)
 
 
 def module_morphisms(mp_src, mp_dst):
@@ -206,11 +214,11 @@ class MonoidModel:
     """Multiplicative monoid whose elements label a basis of the extension
     over the base pair. mul may return None for an absorbed (zero) product."""
 
-    def __init__(self, generators, mul, unit, name=""):
+    def __init__(self, generators, mul, unit, name):
         self.generators = list(generators)
         self.mul = mul
         self.unit = unit
-        self.name = name or "monoid"
+        self.name = name
 
 
 def free_words_model(t):
@@ -252,7 +260,7 @@ def build_model(kind, size):
 
 
 class GrowthProfile:
-    def __init__(self, model, d, cumulative, truncated=False):
+    def __init__(self, model, d, cumulative, truncated):
         self.model = model
         self.d = list(d)  # d[0] is the degree-0 layer (the unit)
         self.cumulative = list(cumulative)

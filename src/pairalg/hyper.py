@@ -224,7 +224,7 @@ class PowersetCarrier(Carrier):
     def elements(self):
         return list(self.elems)
 
-    def sample(self, window=None):
+    def sample(self, window):
         return list(self.elems)
 
     def add(self, x, y):
@@ -329,14 +329,19 @@ def hyper_coset_quotient(h, g):
     return out
 
 
-def find_isomorphism(h1, h2, max_size=6):
+# The isomorphism search tries every bijection: 720 at this many elements.
+MAX_ISOMORPHISM_SIZE = 6
+
+
+def find_isomorphism(h1, h2):
     """Exhaustive bijection search witnessing an isomorphism of finite
     semi-hyperrings; None if none exists."""
     if h1.n != h2.n:
         return None
-    if h1.n > max_size:
+    if h1.n > MAX_ISOMORPHISM_SIZE:
         raise BoundExhausted("hyperrings have %d elements; isomorphism search is "
-                             "capped at max_size=%d" % (h1.n, max_size))
+                             "capped at MAX_ISOMORPHISM_SIZE=%d"
+                             % (h1.n, MAX_ISOMORPHISM_SIZE))
     for perm in itertools.permutations(range(h2.n)):
         if perm[h1.zero] != h2.zero or perm[h1.one] != h2.one:
             continue

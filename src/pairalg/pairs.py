@@ -418,7 +418,7 @@ def check_reversibility(p, a, window=DEFAULT_WINDOW):
             unknown = True
     if unknown:
         return Verdict(UNKNOWN, bound=window)
-    return Verdict(YES)
+    return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +462,7 @@ def check_weakly_bipotent(p, window=DEFAULT_WINDOW):
         s = p.add(a, a2)
         if s not in (a, a2) and p.power(a, 2) != p.power(a2, 2):
             return Verdict(NO, witness=(a, a2))
-    return Verdict(YES)
+    return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")
 
 
 def iter_monomials(n_vars, degree_bound):

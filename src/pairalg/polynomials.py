@@ -31,9 +31,9 @@ class Polynomial:
         return cls(pair, nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, pair, nvars, i=0):
-        exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(pair, nvars, {exp: pair.carrier.one})
+    def variable(cls, pair, nvars):
+        """The first variable."""
+        return cls(pair, nvars, {(1,) + (0,) * (nvars - 1): pair.carrier.one})
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -150,14 +150,13 @@ def find_preceq_roots(f, domain):
 
 
 class PolynomialPair(SemiringPair):
-    """Pair structure on polynomials over a base pair. Quasi-zeros are the
-    coefficientwise-A0 polynomials; tangibles are the monomials with
+    """Pair structure on one-variable polynomials over a base pair. Quasi-zeros
+    are the coefficientwise-A0 polynomials; tangibles are the monomials with
     tangible coefficient; f is surpassed by g coefficient by coefficient.
     The carrier's sample is degree-1 polynomials over the base's sample."""
 
-    def __init__(self, pair, nvars=1):
+    def __init__(self, pair):
         self.base = pair
-        self.nvars = nvars
 
         def sample(window):
             coeffs = list(pair.carrier.sample(max(2, window // 4)))
@@ -167,8 +166,8 @@ class PolynomialPair(SemiringPair):
 
         carrier = SymbolicSemiring(
             "poly(%s)" % getattr(pair.carrier, "name", "?"), operator.add,
-            operator.mul, Polynomial(pair, nvars, {}),
-            Polynomial.constant(pair, nvars, pair.carrier.one), sample)
+            operator.mul, Polynomial(pair, 1, {}),
+            Polynomial.constant(pair, 1, pair.carrier.one), sample)
         super().__init__(
             carrier,
             a0=lambda f: all(pair.in_a0(v) for v in f.terms.values()),
@@ -177,14 +176,14 @@ class PolynomialPair(SemiringPair):
             surpass_fn=_coefficientwise(pair), name="poly(%s)" % pair.name)
 
     def poly(self, terms):
-        return Polynomial(self.base, self.nvars, terms)
+        return Polynomial(self.base, 1, terms)
 
     def enumerate(self, degree, coeffs=None):
         """All polynomials of total degree <= degree with coefficients from
         the given list (defaults to the whole finite carrier)."""
         if coeffs is None:
             coeffs = list(self.base.carrier.elements())
-        monos = iter_monomials(self.nvars, degree)
+        monos = iter_monomials(1, degree)
         for choice in itertools.product(coeffs, repeat=len(monos)):
             yield self.poly(dict(zip(monos, choice)))
 

@@ -77,7 +77,7 @@ class FiniteSemiring(Labelled, Carrier):
         self.one = one
         self.name = name or "semiring"
 
-    def sample(self, window=None):
+    def sample(self, window):
         return list(self.elements())
 
     def add(self, x, y):

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -135,7 +138,7 @@ def test_levitzki_witness_exists_for_non_semiprime(st3):
     elems = list(st3.elements())
     found = False
     for start in itertools.product(elems, repeat=2):
-        if d.contains(*start):
+        if start in d:
             continue
         out = levitzki_sequence(d, start)
         if out["terminated"] and out["witness"] is not None:
@@ -159,7 +162,7 @@ def test_search_caps_raise_bound_exhausted(monkeypatch):
     n64 = nmax_trunc(64)  # 66 elements, past the 64-element enumeration cap
     p = SemiringPair(n64, a0=[n64.zero], tangibles=list(range(1, n64.n)),
                      name="nmax64-pair")
-    with pytest.raises(BoundExhausted, match="max_elems=64"):
+    with pytest.raises(BoundExhausted, match="MAX_ELEMS=64"):
         enumerate_congruences(p)
     # the max-min chain of 6 elements has 16 pair-congruences
     chain = FiniteSemiring([str(i) for i in range(6)],
@@ -188,6 +191,36 @@ def test_classification_budget_raises_bound_exhausted(monkeypatch, bool_pair):
     monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 8)
     with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=8"):
         prime_spectrum_krull(bool_pair)
+
+
+# the max-min chain 0 < 1 < 2 fails both checks (ROADMAP item 1), so each
+# call must raise, also when assert statements are compiled away
+UNDER_O = """
+from pairalg.congruences import diagonal, prime_spectrum_krull, radical
+from pairalg.pairs import SemiringPair
+from pairalg.semirings import FiniteSemiring
+
+r = range(3)
+chain = FiniteSemiring([str(i) for i in r], [[max(i, j) for j in r] for i in r],
+                       [[min(i, j) for j in r] for i in r], zero=0, one=2)
+p = SemiringPair(chain, a0=[0], tangibles=[1, 2])
+for call in (lambda: prime_spectrum_krull(p), lambda: radical(diagonal(p))):
+    try:
+        call()
+        print("returned")
+    except AssertionError as exc:
+        print(repr(exc))
+"""
+
+
+def test_invariant_checks_survive_optimized_mode():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run([sys.executable, "-O", "-c", UNDER_O],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.splitlines() == [
+        "AssertionError('semiprime/prime-intersection mismatch')",
+        "AssertionError()"]
 
 
 def test_closure_needs_no_cap_on_a_large_carrier():

@@ -9,12 +9,11 @@ from pairalg.extensions import (ExtensionPair, det_chain_report, is_algebraic,
                                 negated_adjoint, negated_determinant,
                                 tangible_coefficient_representation)
 from pairalg.pairs import derive_negation
-from pairalg.polynomials import Polynomial, PolynomialPair
+from pairalg.polynomials import Polynomial
 
 
 def poly_extension(p):
-    pp = PolynomialPair(p)
-    return ExtensionPair(p, pp, embed=lambda a: Polynomial.constant(p, 1, a))
+    return ExtensionPair(p)
 
 
 def test_extension_verifies(bool_pair):

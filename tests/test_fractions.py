@@ -6,7 +6,7 @@ import pytest
 
 from pairalg import fractions
 
-from pairalg.errors import PreconditionError, UNKNOWN
+from pairalg.errors import PreconditionError, UNKNOWN, Verdict
 from pairalg.fractions import (LocalizationContext, build_fraction_pair,
                                check_ore, check_regular, common_denominator,
                                frac_add, frac_equiv, frac_in_a0,
@@ -92,6 +92,13 @@ def test_membership_predicates():
     assert frac_in_a0(ctx.fraction(0, 4))
     assert frac_is_tangible(ctx.fraction(3, 2))
     assert not frac_in_a0(ctx.fraction(3, 2))
+
+
+def test_symbolic_membership_misses_carry_the_window():
+    ctx = dyadic_context(window=5)
+    unknown = Verdict(UNKNOWN, bound=5, detail="bounded search")
+    assert frac_in_a0(ctx.fraction(3, 2)) == unknown
+    assert frac_is_tangible(ctx.fraction(0, 2)) == unknown
 
 
 def test_fraction_needs_denominator_in_s():

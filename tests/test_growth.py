@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pairalg import growth
 from pairalg.errors import BoundExhausted, PreconditionError
 from pairalg.growth import (ModulePair, base_check, build_model, commutative_model,
                             free_module_pair, free_words_model, gk_dimension,
@@ -135,9 +136,12 @@ def test_ore_witness_supertropical(st_nat):
     assert (b1, b2) == (("t", 1), ("t", 0))
 
 
-def test_rank_caps_raise_bound_exhausted(bool_pair):
+def test_rank_caps_raise_bound_exhausted(bool_pair, monkeypatch):
     mp = free_module_pair(bool_pair, 2)  # 4 elements, rank 2
-    with pytest.raises(BoundExhausted, match="max_module=3"):
-        rank(mp, max_module=3)
-    with pytest.raises(BoundExhausted, match="max_size=1"):
-        rank(mp, max_size=1)
+    monkeypatch.setattr(growth, "MAX_RANK_MODULE", 3)
+    with pytest.raises(BoundExhausted, match="MAX_RANK_MODULE=3"):
+        rank(mp)
+    monkeypatch.undo()
+    monkeypatch.setattr(growth, "MAX_RANK_GENERATORS", 1)
+    with pytest.raises(BoundExhausted, match="MAX_RANK_GENERATORS=1"):
+        rank(mp)

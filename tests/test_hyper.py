@@ -145,6 +145,7 @@ def test_semiring_as_hyperring_roundtrip(B):
     assert h.hadd(1, 1) == frozenset({1})
 
 
-def test_isomorphism_cap_raises_bound_exhausted(krasner):
-    with pytest.raises(BoundExhausted, match="max_size=1"):
-        find_isomorphism(krasner, krasner, max_size=1)
+def test_isomorphism_cap_raises_bound_exhausted(krasner, monkeypatch):
+    monkeypatch.setattr(hyper, "MAX_ISOMORPHISM_SIZE", 1)
+    with pytest.raises(BoundExhausted, match="MAX_ISOMORPHISM_SIZE=1"):
+        find_isomorphism(krasner, krasner)

@@ -1,7 +1,7 @@
 import pytest
 
 from pairalg.cli import builtin_structures
-from pairalg.errors import NO, YES
+from pairalg.errors import NO, YES, Verdict
 from pairalg.pairs import (SemiringPair, check_nondegenerate,
                            check_reversibility, check_weakly_bipotent,
                            compute_center, derive_negation, is_shallow,
@@ -120,6 +120,13 @@ def test_reversibility_fails_at_ghost(st3):
     assert check_reversibility(st3, c.index("1")).status == YES
     v = check_reversibility(st3, ghost)
     assert v.status == NO and v.witness == zero
+
+
+def test_symbolic_yes_verdicts_carry_their_window(st_int):
+    # a yes read off a window of an infinite carrier says which window
+    windowed = Verdict(YES, bound=4, detail="windowed")
+    assert check_reversibility(st_int, ("t", 0), window=4) == windowed
+    assert check_weakly_bipotent(st_int, window=4) == windowed
 
 
 def test_nondegenerate_boolean(bool_pair):

@@ -326,6 +326,51 @@ def test_cli_growth_matrix_units(capsys):
     assert report["profile"]["d"] == [1, 4, 0, 0, 0, 0, 0]
 
 
+ST3 = "supertropical3.pair"
+TANGIBLY_SEPARATING = {"neg_compatible": True, "property_n": True,
+                       "status": "tangibly_separating",
+                       "tangibly_separating": True}
+
+
+@pytest.mark.parametrize("argv, code, report, summary", [
+    (["krull", fx(B)], 0, {"krull_dimension": 0}, "Krull dimension 0"),
+    (["krull", fx("double_boolean.pair")], 1, {"krull_dimension": None},
+     "no primes; Krull dimension undefined"),
+    (["congruences", fx(ST3)], 0,
+     {"count": 1, "congruences": [[["0", "0"], ["1", "1"], ["1v", "1v"]]]},
+     "1 pair-congruences"),
+    (["property-n", fx(ST3)], 0, {"result": TANGIBLY_SEPARATING},
+     "property-n: tangibly_separating"),
+    (["classify-element", "boolean", "--element", "1", "--degree", "1"], 0,
+     {"element": "1", "classification": "integral", "degree_bound": 1,
+      "window": 20,
+      "integral": {"status": "yes", "bound": None, "detail": "",
+                   "witness": "{'degree': 1, 'coeffs': (1,)}"},
+      "algebraic": {"status": "no", "bound": 1, "detail": "",
+                    "witness": None},
+      "congruence_algebraic": {
+          "status": "yes", "bound": None, "detail": "",
+          "witness": "{'f1': Polynomial(1*x0^1), 'f2': Polynomial(1), "
+                     "'point': 0}"}},
+     "classification: integral"),
+    (["radical", fx(B), "--generators", "1,1;0,0"], 0,
+     {"radical": [["0", "0"], ["1", "1"]]}, "radical has 2 pairs"),
+    (["radical", fx(B), "--generators", "0,1"], 1,
+     {"radical": "no pair-congruence", "witness": [1, 0]},
+     "generators close onto T x A0"),
+    (["verify", fx(K)], 0,
+     {"valid": True, "reports": {"hyper": {"checked": 16, "subject": "krasner",
+                                           "valid": True, "violations": []}}},
+     "verify %s: ok" % fx(K)),
+])
+def test_cli_handler_reports(capsys, argv, code, report, summary):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    head = {"command": argv[0], "input": argv[1]}
+    assert json.loads(captured.out) == {**head, **report}
+    assert captured.err == summary + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["krasner", "nat-plus-times", "--subgroup", "1"],
     ["radical", "nat-plus-times"],
@@ -334,6 +379,18 @@ def test_cli_growth_matrix_units(capsys):
 def test_cli_symbolic_misuse_is_input_error(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["supertropical3", "--a1", "1v", "--a2", "1"], "1v"),
+    (["supertropical3", "--a1", "1", "--a2", "0"], "0"),
+    ([fx(B), "--a1", "0", "--a2", "1"], "0"),
+])
+def test_cli_ore_witness_refuses_a_non_tangible(capsys, argv, label):
+    assert main(["ore-witness"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: %r is not tangible\n" % label
 
 
 def test_cli_json_leaves_stderr_in_place(capsys):

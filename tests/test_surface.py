@@ -1,5 +1,6 @@
 """The library's surface, read from its source: the number of parameters a
-caller can leave out does not rise, and every name a module imports is used.
+caller can leave out does not rise, every name a module imports is used, and
+no invariant rests on an ``assert`` statement, which ``python -O`` drops.
 A change that adds a knob raises ``SETTABLE_PARAMETERS`` in the same diff and
 says why."""
 
@@ -12,7 +13,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "pairalg")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 # defaulted parameters over every def in src/pairalg
-SETTABLE_PARAMETERS = 82
+SETTABLE_PARAMETERS = 68
 
 
 def tree(module):
@@ -53,3 +54,10 @@ def test_every_import_is_used(module):
     used = {node.id for node in ast.walk(t) if isinstance(node, ast.Name)}
     unused = set(imported) - used - exported(t)
     assert not unused, ["%s:%d %s" % (module, imported[n], n) for n in sorted(unused)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_assert_statements(module):
+    lines = [node.lineno for node in ast.walk(tree(module))
+             if isinstance(node, ast.Assert)]
+    assert not lines, ["%s:%d" % (module, n) for n in lines]

@@ -100,8 +100,7 @@ def test_odd_relation_records_every_axiom():
 
 
 def extension(p):
-    pp = PolynomialPair(p)
-    return ExtensionPair(p, pp, embed=lambda a: Polynomial.constant(p, 1, a))
+    return ExtensionPair(p)
 
 
 def elements_to_classify(p, window):
