@@ -144,11 +144,11 @@ def cmd_verify(args, structs):
 
 
 def cmd_shallow(args, p):
-    flag = is_shallow(p, window=args.window)
-    report = {"shallow": flag}
-    if not p.finite:
-        report["window"] = args.window
-    return emit(args, report, "shallow: %s" % flag, EXIT_OK if flag else EXIT_FAIL)
+    v = is_shallow(p, window=args.window)
+    report = {"shallow": bool(v)}
+    if v.bound is not None:
+        report["window"] = v.bound
+    return emit(args, report, "shallow: %s" % bool(v), verdict_code(v))
 
 
 def cmd_property_n(args, p):
@@ -367,7 +367,7 @@ def cmd_powerset(args, h):
                        "elements": [c.label(x) for x in c.elements()],
                        "a0": [c.label(x) for x in p.a0_elements()],
                        "tangibles": [c.label(x) for x in p.tangible_elements()],
-                       "shallow": is_shallow(p), "verify": rep},
+                       "shallow": bool(is_shallow(p)), "verify": rep},
                 "powerset pair with %d elements, %s" %
                 (len(list(c.elements())), "valid" if rep.valid else "INVALID"),
                 EXIT_OK if rep.valid else EXIT_FAIL)

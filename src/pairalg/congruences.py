@@ -289,7 +289,8 @@ def _pairs_on_quotient(cong):
 def is_semiprime(cong, work=None):
     """Element criterion: x * (AxA) * x inside the congruence forces x in.
     Run on the quotient, where the congruence is the diagonal. The twist
-    products are charged to ``work``, a fresh budget by default."""
+    products are charged to ``work``, a fresh budget by default. The YES or
+    NO verdict carries no witness."""
     work = work or _Work()
     q, pairs = _pairs_on_quotient(cong)
     for x in pairs:
@@ -299,15 +300,16 @@ def is_semiprime(cong, work=None):
             if not _inside(twist_product(q, twist_product(q, x, y), x)):
                 break
         else:
-            return False
+            return Verdict(NO)
         work.spend(2 * tried)
-    return True
+    return Verdict(YES)
 
 
 def is_prime(cong, work=None):
     """Two-element criterion: x * (AxA) * y inside forces x in or y in.
     Run on the quotient, where the congruence is the diagonal. The twist
-    products are charged to ``work``, a fresh budget by default."""
+    products are charged to ``work``, a fresh budget by default. The YES or
+    NO verdict carries no witness."""
     work = work or _Work()
     q, pairs = _pairs_on_quotient(cong)
     outside = [x for x in pairs if not _inside(x)]
@@ -319,17 +321,18 @@ def is_prime(cong, work=None):
                 if not _inside(twist_product(q, w, y)):
                     break
             else:
-                return False
+                return Verdict(NO)
             work.spend(tried)
-    return True
+    return Verdict(YES)
 
 
 def is_irreducible(cong, lattice):
     """No two strictly larger congruences in the lattice meet exactly in it.
     In a finite lattice closed under meets that holds iff nothing is above
-    it or the meet of everything above differs from it."""
+    it or the meet of everything above differs from it. The YES or NO
+    verdict carries no witness."""
     above = [d.cls for d in lattice if cong < d]
-    return not above or reduce(_meet, above) != cong.cls
+    return Verdict(YES if not above or reduce(_meet, above) != cong.cls else NO)
 
 
 def classify_congruence(cong, lattice):
@@ -337,8 +340,9 @@ def classify_congruence(cong, lattice):
     the enumerated lattice. Raises AssertionError unless prime = semiprime
     and irreducible."""
     work = _Work()
-    out = {"semiprime": is_semiprime(cong, work), "prime": is_prime(cong, work),
-           "irreducible": is_irreducible(cong, lattice)}
+    out = {"semiprime": bool(is_semiprime(cong, work)),
+           "prime": bool(is_prime(cong, work)),
+           "irreducible": bool(is_irreducible(cong, lattice))}
     if out["prime"] != (out["semiprime"] and out["irreducible"]):
         raise AssertionError
     return out
@@ -557,22 +561,24 @@ def quotient_pair(p, cong):
 
 
 def verify_pair_homomorphism(f, src, dst, check_a0=True):
-    """Checks f : src -> dst preserves 0, 1, +, x, and A0 unless check_a0 is
-    off, as for a plain carrier homomorphism."""
+    """YES iff f : src -> dst preserves 0, 1, +, x, and A0 unless check_a0
+    is off, as for a plain carrier homomorphism. A NO names the failing law
+    in ``detail`` and its argument in ``witness``."""
     if not (src.carrier.finite and dst.carrier.finite):
         raise PreconditionError("homomorphism check needs finite carriers")
     s, d = src.carrier, dst.carrier
-    if f(s.zero) != d.zero or f(s.one) != d.one:
-        raise PreconditionError("does not preserve 0 or 1")
+    for law, unit, image in (("zero", s.zero, d.zero), ("one", s.one, d.one)):
+        if f(unit) != image:
+            return Verdict(NO, witness=unit, detail=law)
     for a in s.elements():
         if check_a0 and src.in_a0(a) and not dst.in_a0(f(a)):
-            raise PreconditionError("A0 not preserved at %r" % (a,))
+            return Verdict(NO, witness=a, detail="A0")
         for b in s.elements():
             if f(s.add(a, b)) != d.add(f(a), f(b)):
-                raise PreconditionError("additivity fails at %r" % ((a, b),))
+                return Verdict(NO, witness=(a, b), detail="additivity")
             if f(s.mul(a, b)) != d.mul(f(a), f(b)):
-                raise PreconditionError("multiplicativity fails at %r" % ((a, b),))
-    return True
+                return Verdict(NO, witness=(a, b), detail="multiplicativity")
+    return Verdict(YES)
 
 
 def congruence_kernel(f, src, dst, check_a0=True):
@@ -580,7 +586,10 @@ def congruence_kernel(f, src, dst, check_a0=True):
     verify_pair_homomorphism. Always a congruence of the carrier; may fail
     pair-admissibility, which is reported through the admissible flag
     rather than raised."""
-    verify_pair_homomorphism(f, src, dst, check_a0=check_a0)
+    v = verify_pair_homomorphism(f, src, dst, check_a0=check_a0)
+    if not v:
+        raise PreconditionError("not a homomorphism: %s fails at %r"
+                                % (v.detail, v.witness))
     ix = _Index(src)
     cls = _canonical(f(a) for a in ix.elems)
     if _close(ix, enumerate(cls), stop=False) != cls:

@@ -81,6 +81,12 @@ class Verdict:
     bound: object = None
     detail: str = ""
 
+    @classmethod
+    def held(cls, finite, window):
+        """The yes of a search that found no counterexample: exact on a
+        finite carrier, bound to the window it scanned on a symbolic one."""
+        return cls(YES) if finite else cls(YES, bound=window, detail="windowed")
+
     def __bool__(self):
         return self.status == YES
 

@@ -37,8 +37,7 @@ def check_regular(p, s, mode="left", window=30):
             raise PreconditionError("unknown mode %r" % mode)
     if unknown:
         return Verdict(UNKNOWN, bound=window, detail="surpassing undecided")
-    return Verdict(YES) if c.finite else Verdict(YES, bound=window,
-                                                 detail="windowed")
+    return Verdict.held(c.finite, window)
 
 
 def _is_central(p, S, sample):
@@ -83,7 +82,7 @@ def check_ore(p, S, window=30, s_member=None):
                 if not any(c.mul(sp, b1) == c.mul(sp, b2) for sp in S):
                     verdict = NO if c.finite else UNKNOWN
                     return Verdict(verdict, witness=("no left witness", b1, b2, s))
-    return Verdict(YES) if c.finite else Verdict(YES, bound=window, detail="windowed")
+    return Verdict.held(c.finite, window)
 
 
 class OreFailure(PreconditionError):
@@ -150,7 +149,7 @@ def frac_equiv(x, y):
                 return Verdict(YES, witness=(a1, a2))
     if c.finite:
         return Verdict(NO)
-    return Verdict(UNKNOWN, bound=len(tang), detail="no witness in window")
+    return Verdict(UNKNOWN, bound=ctx.window, detail="no witness in window")
 
 
 def common_denominator(x, y):

@@ -344,7 +344,7 @@ def is_semidomain(p, window=20):
         for b in outside:
             if in_a0(mul(t, b)) or in_a0(mul(b, t)):
                 return Verdict(NO, witness=(t, b))
-    return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")
+    return Verdict.held(p.finite, window)
 
 
 def ore_witness(p, a1, a2, degree_bound=2, window=8):

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .errors import (
     NO,
     UNKNOWN,
-    YES,
     AxiomReport,
     PreconditionError,
     UnsupportedStructureError,
@@ -190,8 +189,12 @@ def verify_admissible(p, window=DEFAULT_WINDOW):
 
 
 def is_shallow(p, window=DEFAULT_WINDOW):
-    """True iff every (sampled) carrier element is tangible or a quasi-zero."""
-    return all(p.is_tangible(x) or p.in_a0(x) for x in p.elements(window))
+    """YES iff every (sampled) carrier element is tangible or a quasi-zero;
+    NO names an element that is neither."""
+    for x in p.elements(window):
+        if not (p.is_tangible(x) or p.in_a0(x)):
+            return Verdict(NO, witness=x)
+    return Verdict.held(p.finite, window)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +421,7 @@ def check_reversibility(p, a, window=DEFAULT_WINDOW):
             unknown = True
     if unknown:
         return Verdict(UNKNOWN, bound=window)
-    return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")
+    return Verdict.held(p.finite, window)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +465,7 @@ def check_weakly_bipotent(p, window=DEFAULT_WINDOW):
         s = p.add(a, a2)
         if s not in (a, a2) and p.power(a, 2) != p.power(a2, 2):
             return Verdict(NO, witness=(a, a2))
-    return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")
+    return Verdict.held(p.finite, window)
 
 
 def iter_monomials(n_vars, degree_bound):
@@ -508,4 +511,4 @@ def check_nondegenerate(p, degree_bound=2, window=8):
                         witness=(terms, hit),
                         detail="shallow pair: value outside A0 is not tangible",
                     )
-    return Verdict(YES, bound=None if p.finite else window)
+    return Verdict.held(p.finite, window)

@@ -288,7 +288,7 @@ def check_polypair_semiprime(p, degree=1):
     polynomial-level verdict within the bound."""
     from .congruences import diagonal, is_semiprime
 
-    base_semiprime = is_semiprime(diagonal(p))
+    base_semiprime = bool(is_semiprime(diagonal(p)))
     pp = PolynomialPair(p)
     c = pp.carrier
     polys = list(pp.enumerate(degree))

@@ -12,7 +12,8 @@ from pairalg.fractions import (LocalizationContext, build_fraction_pair,
                                frac_add, frac_equiv, frac_in_a0,
                                frac_is_tangible, frac_mul)
 from pairalg.pairs import SemiringPair
-from pairalg.semirings import FiniteSemiring, double, nat_plus_times
+from pairalg.semirings import (FiniteSemiring, double, nat_plus_times,
+                               supertropical_integers)
 
 
 def dyadic_context(window=30):
@@ -99,6 +100,12 @@ def test_symbolic_membership_misses_carry_the_window():
     unknown = Verdict(UNKNOWN, bound=5, detail="bounded search")
     assert frac_in_a0(ctx.fraction(3, 2)) == unknown
     assert frac_is_tangible(ctx.fraction(0, 2)) == unknown
+    # a miss of the equivalence search carries the window too, not the size
+    # of the tangible sample (7 on supertropical Z with window 3)
+    ctx = LocalizationContext(supertropical_integers(), [("t", 0)], window=3)
+    x, y = ctx.fraction(("t", 1), ("t", 0)), ctx.fraction(("g", 1), ("t", 0))
+    assert frac_equiv(x, y) == Verdict(UNKNOWN, bound=3,
+                                       detail="no witness in window")
 
 
 def test_fraction_needs_denominator_in_s():

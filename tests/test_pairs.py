@@ -127,6 +127,8 @@ def test_symbolic_yes_verdicts_carry_their_window(st_int):
     windowed = Verdict(YES, bound=4, detail="windowed")
     assert check_reversibility(st_int, ("t", 0), window=4) == windowed
     assert check_weakly_bipotent(st_int, window=4) == windowed
+    assert check_nondegenerate(st_int, window=4) == windowed
+    assert is_shallow(st_int, window=4) == windowed
 
 
 def test_nondegenerate_boolean(bool_pair):

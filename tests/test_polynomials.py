@@ -156,5 +156,5 @@ def test_generic_checks_apply_to_polynomial_pairs(name):
         assert verify_admissible(pp, window=window).valid
         assert verify_surpassing(pp, window=window).valid
     # the window-4 sample holds a two-term polynomial such as x + 1
-    assert is_shallow(pp, window=4) is False
+    assert not is_shallow(pp, window=4)
     assert verify_semiring_axioms(pp.carrier, window=4).valid
