@@ -237,21 +237,6 @@ def _inside(x):
     return x[0] == x[1]
 
 
-class _Work:
-    """Twist products left to one classification run; spending past
-    MAX_TWIST_PRODUCTS raises BoundExhausted."""
-
-    def __init__(self):
-        self.left = MAX_TWIST_PRODUCTS
-
-    def spend(self, n):
-        self.left -= n
-        if self.left < 0:
-            raise BoundExhausted(
-                "classification exceeded MAX_TWIST_PRODUCTS=%d twist products"
-                % MAX_TWIST_PRODUCTS)
-
-
 def _quotient(cong, label=None, name=""):
     """The carrier modulo the congruence, as a FiniteSemiring on the class
     numbers 0..k-1 in the order of the classes' least elements, and the
@@ -275,24 +260,92 @@ def _quotient(cong, label=None, name=""):
     return q, image
 
 
-def _pairs_on_quotient(cong):
-    """The quotient carrier (see ``_quotient``) and its element pairs
-    (a, b) with a <= b. A pair lies in the congruence iff its entries have equal
-    images, and as the congruence respects + and x, the image of a twist
-    product is the twist product of the images. Swapping the entries of
-    either factor swaps those of a twist product, and a swap keeps a pair
-    inside or outside, so the pairs with a <= b stand for all of them."""
-    q, _ = _quotient(cong)
-    return q, list(itertools.combinations_with_replacement(q.elements(), 2))
+class _Quotient:
+    """A congruence's quotient (see ``_quotient``), on which the congruence
+    is the diagonal, and the shape that picks the prime and semiprime
+    tests: ``commutative`` (mul commutes), ``chain`` (commutative, and
+    a + b is a or b) and, when commutative, ``outside``. Scaling a pair by
+    a unit u, x -> x * (u, 0), and swapping its entries are bijections of
+    the pairs that keep the diagonal and its complement, and (x * (u, 0)) * y
+    = (x * y) * (u, 0), swap(x) * y = swap(x * y). So whether x * y lies on
+    the diagonal depends only on the orbits of x and y under these maps,
+    and ``outside`` holds one pair (a, b) with a < b per orbit off the
+    diagonal."""
+
+    def __init__(self, cong):
+        q, _ = _quotient(cong)
+        self.carrier = q
+        add, mul = q.add_table, q.mul_table
+        # _Index keeps mul by columns exactly when mul does not commute, and
+        # a quotient of a commutative carrier commutes
+        self.commutative = (len(cong.index.tables) == 2
+                            or all(r == list(c) for r, c in zip(mul, zip(*mul))))
+        self.chain = self.commutative and all(
+            s == a or s == b for a, row in enumerate(add) for b, s in enumerate(row))
+        self.outside = []
+        if not self.commutative:
+            return
+        units = [u for u, row in enumerate(mul) if q.one in row]
+        seen = set()
+        for x in itertools.combinations(q.elements(), 2):
+            if x not in seen:
+                self.outside.append(x)
+                for u in units:
+                    c, d = mul[x[0]][u], mul[x[1]][u]
+                    seen.add((c, d) if c < d else (d, c))
+
+
+class _Work:
+    """One classification run: the twist products it may still form, past
+    MAX_TWIST_PRODUCTS raising BoundExhausted, and the quotient of the
+    congruence it classified last, so that the prime and semiprime tests
+    of one congruence build it once."""
+
+    def __init__(self):
+        self.left = MAX_TWIST_PRODUCTS
+        self.last = None, None
+
+    def spend(self, n):
+        self.left -= n
+        if self.left < 0:
+            raise BoundExhausted(
+                "classification exceeded MAX_TWIST_PRODUCTS=%d twist products"
+                % MAX_TWIST_PRODUCTS)
+
+    def quotient(self, cong):
+        if self.last[0] is not cong:
+            self.last = cong, _Quotient(cong)
+        return self.last[1]
+
+
+def _none_inside(q, x, ys, work):
+    """Whether no twist product x * y, y in ys, lies on the diagonal; the
+    products formed are charged to ``work``."""
+    for n, y in enumerate(ys, 1):
+        if _inside(twist_product(q, x, y)):
+            work.spend(n)
+            return False
+    work.spend(len(ys))
+    return True
 
 
 def is_semiprime(cong, work=None):
     """Element criterion: x * (AxA) * x inside the congruence forces x in.
-    Run on the quotient, where the congruence is the diagonal. The twist
-    products are charged to ``work``, a fresh budget by default. The YES or
-    NO verdict carries no witness."""
+    Run on the quotient, where the congruence is the diagonal. On a
+    commutative quotient x * z * x = (x * x) * z, a pair on the diagonal
+    times any pair stays on it, and z = (1, 0) gives the converse: the
+    congruence is semiprime iff no pair of ``outside`` squares onto the
+    diagonal. Any other quotient is scanned: there the pairs (a, b) with
+    a <= b stand for all, as a swap of either factor swaps the entries of
+    a twist product. The twist products formed are charged to ``work``, a
+    fresh run by default. The YES or NO verdict carries no witness."""
     work = work or _Work()
-    q, pairs = _pairs_on_quotient(cong)
+    quo = work.quotient(cong)
+    q = quo.carrier
+    if quo.commutative:
+        return Verdict(YES if all(_none_inside(q, x, (x,), work)
+                                  for x in quo.outside) else NO)
+    pairs = list(itertools.combinations_with_replacement(q.elements(), 2))
     for x in pairs:
         if _inside(x):
             continue
@@ -300,6 +353,7 @@ def is_semiprime(cong, work=None):
             if not _inside(twist_product(q, twist_product(q, x, y), x)):
                 break
         else:
+            work.spend(2 * tried)
             return Verdict(NO)
         work.spend(2 * tried)
     return Verdict(YES)
@@ -307,11 +361,29 @@ def is_semiprime(cong, work=None):
 
 def is_prime(cong, work=None):
     """Two-element criterion: x * (AxA) * y inside forces x in or y in.
-    Run on the quotient, where the congruence is the diagonal. The twist
-    products are charged to ``work``, a fresh budget by default. The YES or
-    NO verdict carries no witness."""
+    Run on the quotient, where the congruence is the diagonal. On a
+    commutative quotient x * z * y = (x * y) * z, so as for ``is_semiprime``
+    the congruence is prime iff no product of two pairs of ``outside`` lies
+    on the diagonal. On a chain quotient that holds iff every row of mul
+    but zero's is injective (Joó and Mincheva, "Prime congruences of
+    additively idempotent semirings and a Nullstellensatz for tropical
+    polynomials", Selecta Math. 24, 2018: the quotient is totally ordered
+    and multiplicatively cancellative), a test that forms no product. Any
+    other quotient is scanned, with the pairs of ``is_semiprime``. The
+    twist products formed are charged to ``work``, a fresh run by default.
+    The YES or NO verdict carries no witness."""
     work = work or _Work()
-    q, pairs = _pairs_on_quotient(cong)
+    quo = work.quotient(cong)
+    q = quo.carrier
+    if quo.chain:
+        return Verdict(YES if all(len(set(row)) == q.n
+                                  for a, row in enumerate(q.mul_table)
+                                  if a != q.zero) else NO)
+    if quo.commutative:
+        out = quo.outside
+        return Verdict(YES if all(_none_inside(q, x, out[i:], work)
+                                  for i, x in enumerate(out)) else NO)
+    pairs = list(itertools.combinations_with_replacement(q.elements(), 2))
     outside = [x for x in pairs if not _inside(x)]
     for x in outside:
         work.spend(len(pairs))
@@ -321,6 +393,7 @@ def is_prime(cong, work=None):
                 if not _inside(twist_product(q, w, y)):
                     break
             else:
+                work.spend(tried)
                 return Verdict(NO)
             work.spend(tried)
     return Verdict(YES)
@@ -495,8 +568,12 @@ def prime_spectrum_krull(p):
     one budget of MAX_TWIST_PRODUCTS. A mismatch raises AssertionError."""
     lattice = enumerate_congruences(p)
     work = _Work()
-    primes = [c for c in lattice if is_prime(c, work)]
-    semiprimes = {c.cls for c in lattice if is_semiprime(c, work)}
+    primes, semiprimes = [], set()
+    for c in lattice:
+        if is_prime(c, work):
+            primes.append(c)
+        if is_semiprime(c, work):
+            semiprimes.add(c.cls)
     # intersections of nonempty sets of primes: the primes closed under meets
     from_primes = additive_closure(None, [q.cls for q in primes],
                                    [partial(_meet, q.cls) for q in primes])

@@ -69,7 +69,7 @@ def check_ore(p, S, window=30, s_member=None):
             if not v:
                 return Verdict(NO, witness=("not regular", s, v.witness))
     if central:
-        return Verdict(YES, detail="central")
+        return Verdict(YES, bound=None if c.finite else window, detail="central")
     for b in sample:
         for s in S:
             if not any(c.mul(sp, b) == c.mul(bp, s)

@@ -43,6 +43,48 @@ def fq_pair(q):
                       0, 1, [0], list(range(1, q)))
 
 
+def residue_ring(n):
+    """Z/nZ with A0 = {0} and no tangibles, so that every congruence is a
+    pair-congruence: one per ideal, each quotient a Z/dZ with its units."""
+    return table_pair("Z/%dZ" % n, [str(i) for i in range(n)],
+                      lambda i, j: (i + j) % n, lambda i, j: i * j % n,
+                      0, 1, [0], [])
+
+
+def product_pair(*pairs):
+    """The product of the pairs' carriers, with A0 = {0} and no tangibles."""
+    cs = [p.carrier for p in pairs]
+    el = list(itertools.product(*(c.elements() for c in cs)))
+    pos = {e: i for i, e in enumerate(el)}
+
+    def op(name):
+        return lambda i, j: pos[tuple(getattr(c, name)(a, b)
+                                      for c, a, b in zip(cs, el[i], el[j]))]
+
+    return table_pair(" x ".join(p.name for p in pairs),
+                      [",".join(c.label(a) for c, a in zip(cs, e)) for e in el],
+                      op("add"), op("mul"), pos[tuple(c.zero for c in cs)],
+                      pos[tuple(c.one for c in cs)], [0], [])
+
+
+def upper_triangular_boolean():
+    """The 2x2 upper-triangular Boolean matrices [[a, b], [0, d]], stored as
+    (a, b, d), with A0 = {0} and no tangibles: mul does not commute, so
+    classification scans its quotients."""
+    el = list(itertools.product((0, 1), repeat=3))
+    pos = {e: i for i, e in enumerate(el)}
+
+    def add(i, j):
+        return pos[tuple(u | v for u, v in zip(el[i], el[j]))]
+
+    def mul(i, j):
+        (a, b, d), (e, f, h) = el[i], el[j]
+        return pos[(a & e, (a & f) | (b & h), d & h)]
+
+    return table_pair("UT2(B)", ["".join(map(str, e)) for e in el], add, mul,
+                      pos[(0, 0, 0)], pos[(1, 0, 1)], [0], [])
+
+
 def chain_pair(k):
     """Supertropical pair over the truncated chain {1, ..., k}."""
     return supertropical_extension(OrderedMonoid(
@@ -65,7 +107,10 @@ BASES = ([nmax_pair(n) for n in range(1, 9)]
          + [max_min_pair(k) for k in range(2, 9)]
          + [fq_pair(q) for q in (2, 3, 5, 7)]
          + [double(boolean_semiring())]
-         + [chain_pair(k) for k in (1, 2, 3)])
+         + [chain_pair(k) for k in (1, 2, 3)]
+         + [residue_ring(n) for n in (4, 6, 8, 9)]
+         + [product_pair(max_min_pair(2), nmax_pair(n)) for n in (1, 2)]
+         + [upper_triangular_boolean()])
 
 
 def orders(p):

@@ -19,6 +19,7 @@ from pairalg.congruences import (NO_PAIR_CONGRUENCE, Congruence,
 from pairalg.errors import BoundExhausted, StructureError
 from pairalg.pairs import SemiringPair, verify_admissible
 from pairalg.semirings import FiniteSemiring, boolean_semiring, nmax_trunc
+from test_congruence_oracle import fq_pair, upper_triangular_boolean
 
 
 def test_twist_product_formula(bool_pair):
@@ -178,19 +179,49 @@ def test_search_caps_raise_bound_exhausted(monkeypatch):
 
 
 def test_classification_budget_raises_bound_exhausted(monkeypatch, bool_pair):
-    # on the boolean pair the semiprime test of the diagonal takes 4 twist
-    # products and the prime test 5; the spectrum charges both to one budget
+    # the boolean pair's diagonal has a chain quotient: the prime test reads
+    # the mul table and forms no twist product, the semiprime test squares
+    # the one pair (0, 1); the spectrum charges both to one budget
     d = diagonal(bool_pair)
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 4)
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 1)
     assert is_semiprime(d)
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 3)
-    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=3"):
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 0)
+    assert is_prime(d)
+    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=0"):
         is_semiprime(d)
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 9)
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 1)
     assert len(prime_spectrum_krull(bool_pair)["primes"]) == 1
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 8)
-    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=8"):
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 0)
+    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=0"):
         prime_spectrum_krull(bool_pair)
+
+
+def test_scan_budget_counts_twist_products(monkeypatch):
+    # mul of the upper-triangular Boolean matrices does not commute, so the
+    # 8-class diagonal is scanned: 74 twist products for the prime test, 76
+    # for the semiprime test; its 4 other congruences have commutative
+    # quotients, and the spectrum forms 160 products in all
+    p = upper_triangular_boolean()
+    d = diagonal(p)
+    for test, n in ((is_prime, 74), (is_semiprime, 76)):
+        monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", n)
+        assert not test(d)
+        monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", n - 1)
+        with pytest.raises(BoundExhausted):
+            test(d)
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 160)
+    assert len(prime_spectrum_krull(p)["primes"]) == 3
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 159)
+    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=159"):
+        prime_spectrum_krull(p)
+
+
+def test_spectrum_of_a_large_field():
+    # F_61: its diagonal is prime, and the 1830 pairs (a, b) with a < b fall
+    # into 31 orbits of unit scaling and swap, so the spectrum forms 527
+    # twist products where a scan of all pairs would exceed the budget
+    spec = prime_spectrum_krull(fq_pair(61))
+    assert len(spec["primes"]) == 1 and spec["krull_dimension"] == 0
 
 
 # the max-min chain 0 < 1 < 2 fails both checks (ROADMAP item 1), so each

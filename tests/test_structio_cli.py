@@ -10,9 +10,10 @@ from pairalg.cli import main
 from pairalg.errors import StructureError
 from pairalg.hyper import SemiHypergroup
 from pairalg.pairs import SemiringPair
-from pairalg.semirings import FiniteSemiring, nmax_trunc
+from pairalg.semirings import nmax_trunc
 from pairalg.structio import (ParseError, load_structures, parse_structures,
                               serialize_structures)
+from test_congruence_oracle import fq_pair
 from test_fractions import boolean_matrices
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -432,24 +433,36 @@ def test_cli_enumeration_cap_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("bound exhausted: ")
 
 
+def field_file(tmp_path, q):
+    """F_q as a pair file: its diagonal is its one pair-congruence, and
+    prime."""
+    p = fq_pair(q)
+    path = tmp_path / ("f%d.pair" % q)
+    path.write_text(serialize_structures({"semiring": p.carrier, "pair": p}))
+    return str(path)
+
+
 def test_cli_classification_budget_exits_three(tmp_path, capsys, monkeypatch):
-    # the spectrum of F_5 (its diagonal is the one congruence, and prime)
-    # takes 390 twist products: it fits a budget of 390 and exhausts 389
-    q = 5
-    s = FiniteSemiring([str(i) for i in range(q)],
-                       [[(i + j) % q for j in range(q)] for i in range(q)],
-                       [[i * j % q for j in range(q)] for i in range(q)],
-                       zero=0, one=1, name="F5")
-    path = tmp_path / "f5.pair"
-    path.write_text(serialize_structures(
-        {"semiring": s, "pair": SemiringPair(s, [0], range(1, q))}))
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 390)
-    code, report = run(capsys, "spectrum", str(path))
+    # the spectrum of F_5 takes 9 twist products: the 10 pairs (a, b) with
+    # a < b fall into 3 orbits of unit scaling and swap, and the prime test
+    # forms the 6 products of two of them, the semiprime test the 3 squares;
+    # it fits a budget of 9 and exhausts 8
+    path = field_file(tmp_path, 5)
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 9)
+    code, report = run(capsys, "spectrum", path)
     assert code == 0 and report["prime_count"] == 1
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 389)
-    assert main(["spectrum", str(path)]) == 3
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 8)
+    assert main(["spectrum", path]) == 3
     assert capsys.readouterr().err.startswith(
-        "bound exhausted: classification exceeded MAX_TWIST_PRODUCTS=389")
+        "bound exhausted: classification exceeded MAX_TWIST_PRODUCTS=8")
+
+
+def test_cli_spectrum_of_f37_fits_the_budget(tmp_path, capsys):
+    # a scan of all pairs of pairs would need more than MAX_TWIST_PRODUCTS
+    # here; one pair per orbit of unit scaling and swap needs 209
+    code, report = run(capsys, "spectrum", field_file(tmp_path, 37))
+    assert code == 0
+    assert report["prime_count"] == 1 and report["krull_dimension"] == 0
 
 
 def test_cli_growth_word_cap_truncates_and_exits_three(capsys, monkeypatch):

@@ -11,10 +11,11 @@ from pairalg.congruences import (congruence_kernel, diagonal,
                                  is_prime, is_semiprime,
                                  verify_pair_homomorphism)
 from pairalg.errors import NO, UNKNOWN, YES, PreconditionError, Verdict
-from pairalg.fractions import check_ore, check_regular
+from pairalg.fractions import LocalizationContext, check_ore, check_regular
 from pairalg.growth import is_semidomain
 from pairalg.pairs import (check_nondegenerate, check_reversibility,
                            check_weakly_bipotent, is_shallow)
+from pairalg.semirings import supertropical_integers
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                         "pairalg", "fixtures")
@@ -50,6 +51,20 @@ def test_decisions_return_verdicts(name, spec):
     assert isinstance(v, Verdict)
     assert v.status in (YES, NO, UNKNOWN)
     assert bool(v) == (v.status == YES)
+
+
+@pytest.mark.parametrize("name", ANY_CARRIER)
+def test_symbolic_yes_names_its_window(name):
+    # a search on a symbolic carrier covers a window only, so its yes says
+    # which one
+    v = ANY_CARRIER[name](load_input(SYMBOLIC[0])["pair"])
+    assert v.status != YES or v.bound is not None
+
+
+def test_central_ore_keeps_its_detail_and_names_its_window():
+    ctx = LocalizationContext(supertropical_integers(), [("t", 0)], window=3)
+    assert ctx.ore == Verdict(YES, bound=3, detail="central")
+    assert ctx.central
 
 
 def test_non_homomorphism_names_law_and_argument(st3):
