@@ -82,19 +82,52 @@ def need(structs, kind, spec):
     return structs[kind]
 
 
-def jsonable(x):
-    if hasattr(x, "as_json"):
-        return jsonable(x.as_json())
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set, frozenset)):
-        items = list(x)
-        if isinstance(x, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [jsonable(v) for v in items]
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    return repr(x)
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _write(x, out, pad):
+    """Append to ``out`` the JSON text of ``x``, as json.dumps(x,
+    sort_keys=True, indent=2) writes it at the indentation ``pad`` (a
+    newline and the spaces), in one walk: an object with ``as_json`` is
+    written as what that returns, dict keys become str(k) (of two equal
+    keys the later wins), sets and frozensets are sorted by repr, a str,
+    int, float, bool or None is written by json.dumps, and anything else
+    as its repr."""
+    t = type(x)
+    if t is str:
+        out.append(_encode(x))
+        return
+    if t is not list and t is not tuple and t is not dict:
+        if hasattr(x, "as_json"):
+            _write(x.as_json(), out, pad)
+            return
+        if isinstance(x, dict):
+            t = dict
+        elif isinstance(x, (set, frozenset)):
+            x = sorted(x, key=repr)
+        elif not isinstance(x, (list, tuple)):
+            out.append(json.dumps(x) if isinstance(x, (str, int, float))
+                       or x is None else _encode(repr(x)))
+            return
+    if not x:
+        out.append("{}" if t is dict else "[]")
+        return
+    inner = pad + "  "
+    if t is dict:
+        d = {str(k): v for k, v in x.items()}
+        sep = "{" + inner
+        for k in sorted(d):
+            out.append(sep + _encode(k) + ": ")
+            _write(d[k], out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+        return
+    sep = "[" + inner
+    for v in x:
+        out.append(sep)
+        _write(v, out, inner)
+        sep = "," + inner
+    out.append(pad + "]")
 
 
 def emit(args, report, summary, code):
@@ -104,7 +137,9 @@ def emit(args, report, summary, code):
     head = {"command": args.command}
     if hasattr(args, "structure"):
         head["input"] = args.structure
-    print(json.dumps(jsonable({**head, **report}), sort_keys=True, indent=2))
+    out = []
+    _write({**head, **report}, out, "\n")
+    print("".join(out))
     print(summary, file=sys.stderr)
     return code
 
@@ -211,7 +246,7 @@ def cmd_radical(args, p):
             base = diagonal(p)
     except NoPairCongruence as exc:
         return emit(args, {"radical": NO_PAIR_CONGRUENCE,
-                           "witness": jsonable(exc.witness)},
+                           "witness": exc.witness},
                     "generators close onto T x A0", EXIT_FAIL)
     rad = radical_op(base)
     if rad == NO_PAIR_CONGRUENCE:

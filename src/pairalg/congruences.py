@@ -335,13 +335,21 @@ def is_semiprime(cong, work=None):
     commutative quotient x * z * x = (x * x) * z, a pair on the diagonal
     times any pair stays on it, and z = (1, 0) gives the converse: the
     congruence is semiprime iff no pair of ``outside`` squares onto the
-    diagonal. Any other quotient is scanned: there the pairs (a, b) with
-    a <= b stand for all, as a swap of either factor swaps the entries of
-    a twist product. The twist products formed are charged to ``work``, a
-    fresh run by default. The YES or NO verdict carries no witness."""
+    diagonal. On a chain quotient (a, b)^2 = (a^2 + b^2, ab), and for
+    a > b (a + b = a) monotonicity gives a^2 >= ab >= b^2, so the test
+    reads the mul table: semiprime iff no a > b has a * a = a * b, with
+    no twist product. Any other quotient is scanned: there the pairs (a, b)
+    with a <= b stand for all, as a swap of either factor swaps the entries
+    of a twist product. The twist products formed are charged to ``work``,
+    a fresh run by default. The YES or NO verdict carries no witness."""
     work = work or _Work()
     quo = work.quotient(cong)
     q = quo.carrier
+    if quo.chain:
+        add, mul = q.add_table, q.mul_table
+        return Verdict(NO if any(add[a][b] == a and mul[a][a] == mul[a][b]
+                                 for a, b in itertools.permutations(q.elements(), 2))
+                       else YES)
     if quo.commutative:
         return Verdict(YES if all(_none_inside(q, x, (x,), work)
                                   for x in quo.outside) else NO)
@@ -472,11 +480,20 @@ def intersection_of_primes_above(cong, lattice):
 # Enumeration and spectrum
 
 
-def _principal_congruences(ix):
-    """The admissible principal congruences Cg(a, b), each with one
-    generating pair. Cg(ta, tb) lies in Cg(a, b) for every translation t, so
-    each closure starts from the largest such Cg found so far, and one that
-    meets T x A0 shows that Cg(a, b) does too."""
+def _join_generators(ix):
+    """The join-irreducible admissible principal congruences, each as
+    (a, b, seeds): a generating pair, and the pairs (x, r) of an element x
+    and the least element r != x of its class, which seed a join with it.
+    Cg(ta, tb) lies in Cg(a, b) for every translation t, so
+    each principal closure starts from the largest such Cg found so far, and
+    one that meets T x A0 shows that Cg(a, b) does too. A principal g is
+    kept unless it is the join of the principals strictly below it: those
+    are the Cg(u, v) with (u, v) in g and fewer classes than g, and the
+    pairs (u, v) with Cg(u, v) < g are closed under translations, so their
+    join is the equivalence they generate, one closure without translations
+    per distinct principal. Every principal is the join of kept ones (by
+    induction on size), and every congruence is the join of the principals
+    below it, so the kept ones generate the lattice under joins."""
     n = len(ix.kind)
     unknown = (n + 1, None)  # more classes than any Cg, so min() passes it over
     found = {}  # (a, b), a < b -> (class count, class array), None if it escapes
@@ -497,18 +514,30 @@ def _principal_congruences(ix):
     principal = {}
     for pair, g in found.items():
         if g is not None:
-            principal.setdefault(g[1], pair)
-    return principal
+            principal.setdefault(g, pair)
+    kept = []
+    for (count, g), (a, b) in principal.items():
+        members = {}
+        for x, r in enumerate(g):
+            members.setdefault(r, []).append(x)
+        # (u, v) in g, so Cg(u, v) <= g, and equal iff the class counts are
+        lower = [uv for m in members.values()
+                 for uv in itertools.combinations(m, 2) if found[uv][0] != count]
+        if _close(ix, lower, translate=False) != g:
+            kept.append((a, b, [(x, r) for x, r in enumerate(g) if x != r]))
+    return kept
 
 
 def enumerate_congruences(p):
     """All pair-congruences on a finite carrier: the diagonal closed under
-    joins with the admissible principal congruences Cg(a, b); a join with
-    Cg(a, b) is skipped when the base already relates a and b. Admissible
-    congruences form a down-set, so a join that meets T x A0 is dropped at
-    once. Sorted by relation size then canonical pair order, so the
-    diagonal comes first. Carriers past MAX_ELEMS and lattices past
-    MAX_CONGRUENCES raise BoundExhausted."""
+    joins with the join-irreducible admissible principal congruences
+    Cg(a, b) (see ``_join_generators``); a join with Cg(a, b) is skipped
+    when the base already relates a and b. Admissible congruences form a
+    down-set, so every partial join below an admissible congruence is
+    admissible, and a join that meets T x A0 is dropped at once. Sorted by
+    relation size then canonical pair order, so the diagonal comes first.
+    Carriers past MAX_ELEMS and lattices past MAX_CONGRUENCES raise
+    BoundExhausted."""
     if not p.carrier.finite:
         raise PreconditionError("enumeration needs a finite carrier")
     n = len(list(p.carrier.elements()))
@@ -519,8 +548,7 @@ def enumerate_congruences(p):
     ix = _Index(p)
     if ix.escape(range(n)) is not None:
         return []  # an element in both T and A0: even the diagonal escapes
-    joins = [(a, b, [(x, r) for x, r in enumerate(g) if x != r])
-             for g, (a, b) in _principal_congruences(ix).items()]
+    joins = _join_generators(ix)
     found = {tuple(range(n))}
     frontier = list(found)
     while frontier:

@@ -10,6 +10,9 @@ from .semirings import FiniteSemiring
 
 SECTIONS = ("semiring", "pair", "hyper")
 
+# the keys of a [pair] section that list labels; with no value they list none
+LAYERS = ("a0", "tangibles")
+
 
 class ParseError(StructureError):
     def __init__(self, message, line):
@@ -38,9 +41,10 @@ def _split_sections(text):
     return sections
 
 
-def _section_fields(entries):
+def _section_fields(entries, lists):
     """key = value lines; a key with an empty value collects the following
-    indented lines as table rows."""
+    indented lines as table rows, or if there are none and the key is in
+    ``lists``, has the empty value."""
     fields = {}
     i = 0
     while i < len(entries):
@@ -60,9 +64,9 @@ def _section_fields(entries):
         while i < len(entries) and entries[i][1][0] in " \t":
             rows.append(entries[i])
             i += 1
-        if not rows:
+        if not rows and key not in lists:
             raise ParseError("key %r has no value and no table rows" % key, lineno)
-        fields[key] = (lineno, rows)
+        fields[key] = (lineno, rows or value)
     return fields
 
 
@@ -149,7 +153,8 @@ def parse_structures(text):
     needs a preceding semiring section."""
     out = {}
     for section in _split_sections(text):
-        fields = _section_fields(section["entries"])
+        fields = _section_fields(section["entries"],
+                                 LAYERS if section["name"] == "pair" else ())
         sline = section["line"]
         if section["name"] == "semiring":
             labels, index, name = _header(fields, "semiring", sline)
@@ -164,7 +169,7 @@ def parse_structures(text):
                 raise ParseError("[pair] requires a preceding [semiring]", sline)
             s = out["semiring"]
             lists = []
-            for key in ("a0", "tangibles"):
+            for key in LAYERS:
                 lineno, value = _scalar(fields, key, sline)
                 lists.append(sorted(_lookup(value.split(), semiring_index,
                                             repr(key), lineno)))

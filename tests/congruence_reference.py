@@ -3,12 +3,14 @@ classification on the quotient replaced, kept as a reference: the worklist
 closure, which rescans the whole relation for every pair it pops, and the
 filter over all set partitions, both returning relations (frozensets of
 element pairs; the lattice comes sorted as ``enumerate_congruences`` sorts
-it); the prime and semiprime criteria over the whole carrier; and the
-pairwise meet test for irreducibility."""
+it); the join enumeration over every principal congruence, before it kept
+only the join-irreducible ones; the prime and semiprime criteria over the
+whole carrier; and the pairwise meet test for irreducibility."""
 
 import itertools
+from operator import itemgetter
 
-from pairalg.congruences import NoPairCongruence
+from pairalg.congruences import Congruence, NoPairCongruence, _close, _Index
 from pairalg.errors import PreconditionError
 from pairalg.semirings import twist_product
 
@@ -166,3 +168,66 @@ def is_irreducible(cong, lattice):
         if d1 & d2 == cong:
             return False
     return True
+
+
+def principal_congruences(ix):
+    """The admissible principal congruences Cg(a, b), each with one
+    generating pair. Cg(ta, tb) lies in Cg(a, b) for every translation t, so
+    each closure starts from the largest such Cg found so far, and one that
+    meets T x A0 shows that Cg(a, b) does too."""
+    n = len(ix.kind)
+    unknown = (n + 1, None)  # more classes than any Cg, so min() passes it over
+    found = {}  # (a, b), a < b -> (class count, class array), None if it escapes
+    for b in reversed(range(n)):
+        for a in reversed(range(b)):
+            below = [found.get((u, v) if u < v else (v, u), unknown)
+                     for t in ix.tables for u, v in zip(t[a], t[b])]
+            if None in below:
+                found[a, b] = None
+                continue
+            base = min(below, key=itemgetter(0))[1]
+            try:
+                cls = _close(ix, [(a, b)], base)
+            except NoPairCongruence:
+                found[a, b] = None
+                continue
+            found[a, b] = (len(set(cls)), cls)
+    principal = {}
+    for pair, g in found.items():
+        if g is not None:
+            principal.setdefault(g[1], pair)
+    return principal
+
+
+def principal_join_lattice(p):
+    """All pair-congruences on a finite carrier: the diagonal closed under
+    joins with every admissible principal congruence Cg(a, b); a join with
+    Cg(a, b) is skipped when the base already relates a and b, and a join
+    that meets T x A0 is dropped. Sorted as ``enumerate_congruences`` sorts
+    them."""
+    n = len(list(p.carrier.elements()))
+    ix = _Index(p)
+    if ix.escape(range(n)) is not None:
+        return []
+    joins = [(a, b, [(x, r) for x, r in enumerate(g) if x != r])
+             for g, (a, b) in principal_congruences(ix).items()]
+    found = {tuple(range(n))}
+    frontier = list(found)
+    while frontier:
+        base = frontier.pop()
+        for a, b, seeds in joins:
+            if base[a] == base[b]:
+                continue
+            try:
+                cls = _close(ix, seeds, base, translate=False)
+            except NoPairCongruence:
+                continue
+            if cls not in found:
+                found.add(cls)
+                frontier.append(cls)
+
+    def order(cg):
+        pairs = cg._pairs()
+        return len(pairs), pairs
+
+    return sorted((Congruence(p, cls, index=ix) for cls in found), key=order)

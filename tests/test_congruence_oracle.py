@@ -1,8 +1,11 @@
 """The union-find congruence engine against the worklist closure and the
 partition filter it replaced (congruence_reference.py): same lattices in
 the same order, same closures, and escape witnesses inside the closure.
-Classification on the quotient gives the verdicts of the criteria run on
-the whole carrier, and of the pairwise irreducibility test."""
+Past the partition filter's 8 elements, joins of the join-irreducible
+principal congruences give the lattice that joins of every principal
+congruence give. Classification on the quotient gives the verdicts of the
+criteria run on the whole carrier, and of the pairwise irreducibility
+test."""
 
 import itertools
 import random
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import congruence_reference as ref
-from pairalg.congruences import (NoPairCongruence, enumerate_congruences,
+from pairalg.congruences import (NoPairCongruence, _close, _Index,
+                                 _join_generators, enumerate_congruences,
                                  generate_congruence, is_irreducible, is_prime,
                                  is_semiprime, quotient_pair)
 from pairalg.pairs import SemiringPair
@@ -83,6 +87,12 @@ def upper_triangular_boolean():
 
     return table_pair("UT2(B)", ["".join(map(str, e)) for e in el], add, mul,
                       pos[(0, 0, 0)], pos[(1, 0, 1)], [0], [])
+
+
+def without_tangibles(p):
+    """The pair's carrier and A0 with no tangibles, so that every congruence
+    is a pair-congruence."""
+    return SemiringPair(p.carrier, p.a0_elements(), [], name=p.name + ", T = {}")
 
 
 def chain_pair(k):
@@ -207,3 +217,59 @@ def test_random_pairs_match_reference(p, data):
                                min_size=1, max_size=3))
     check_closure(p, seeds, ref.worklist_closure(p, seeds,
                                                  require_admissible=False))
+
+
+def boolean_power(k):
+    b = boolean_semiring()
+    return product_pair(*[SemiringPair(b, [b.zero], [], name="B")] * k)
+
+
+# sizes past the partition filter, each family with and without tangibles;
+# maxmin(11..12), maxmin(10..12) without tangibles, B^5, B^6,
+# nmax_trunc(13..29) and nmax_trunc(30) without tangibles are left out: the
+# reference join engine takes up to 0.6 s on one of them, about 2 s on all
+LARGE = ([max_min_pair(k) for k in range(3, 11)]
+         + [without_tangibles(max_min_pair(k)) for k in range(3, 10)]
+         + [boolean_power(k) for k in (2, 3, 4)]
+         + [nmax_pair(m) for m in list(range(1, 13)) + [30]]
+         + [without_tangibles(nmax_pair(m)) for m in range(1, 13)]
+         + [residue_ring(n) for n in range(2, 13)]
+         + [fq_pair(q) for q in (2, 3, 5, 7, 11, 13)])
+
+
+@pytest.mark.parametrize("p", LARGE, ids=lambda p: p.name)
+def test_enumeration_matches_all_principal_joins(p):
+    assert ([c.cls for c in enumerate_congruences(p)]
+            == [c.cls for c in ref.principal_join_lattice(p)])
+
+
+@pytest.mark.parametrize("p, kept", (
+    [(max_min_pair(k), k - 2) for k in range(3, 13)]
+    + [(without_tangibles(max_min_pair(k)), k - 1) for k in range(3, 13)]
+    + [(boolean_power(k), k) for k in (2, 3, 4, 5)]
+    + [(nmax_pair(m), m) for m in (1, 2, 3, 8, 30)]
+    + [(without_tangibles(nmax_pair(m)), m + 1) for m in (1, 2, 3, 8, 30)]),
+    ids=lambda x: getattr(x, "name", str(x)))
+def test_join_generator_counts(p, kept):
+    assert len(_join_generators(_Index(p))) == kept
+
+
+def join_irreducible(lattice, ix):
+    """Class arrays of the lattice's members that are not the join of the
+    members strictly below them (the diagonal is the empty join)."""
+    out = set()
+    for c in lattice:
+        seeds = [(x, r) for d in lattice if d < c
+                 for x, r in enumerate(d.cls) if x != r]
+        if _close(ix, seeds, translate=False) != c.cls:
+            out.add(c.cls)
+    return out
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda p: p.name)
+def test_join_generators_are_the_join_irreducibles(base):
+    lattice = enumerate_congruences(base)
+    ix = _Index(base)
+    gens = _join_generators(ix)
+    assert ({tuple(generate_congruence(base, [(a, b)]).cls) for a, b, _ in gens}
+            == join_irreducible(lattice, ix))

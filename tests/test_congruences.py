@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import subprocess
@@ -19,7 +20,8 @@ from pairalg.congruences import (NO_PAIR_CONGRUENCE, Congruence,
 from pairalg.errors import BoundExhausted, StructureError
 from pairalg.pairs import SemiringPair, verify_admissible
 from pairalg.semirings import FiniteSemiring, boolean_semiring, nmax_trunc
-from test_congruence_oracle import fq_pair, upper_triangular_boolean
+from test_congruence_oracle import (fq_pair, max_min_pair,
+                                    upper_triangular_boolean)
 
 
 def test_twist_product_formula(bool_pair):
@@ -178,29 +180,56 @@ def test_search_caps_raise_bound_exhausted(monkeypatch):
         enumerate_congruences(maxmin)
 
 
+def test_enumeration_closures_are_bounded(monkeypatch):
+    # maxmin(8): one closure per pair for the 21 distinct principal
+    # congruences, one per distinct principal to keep the 6 join-irreducible
+    # ones, and the joins with those: 241 closures, where joins with every
+    # principal formed 1,051
+    calls = collections.Counter()
+    real = congruences._close
+
+    def counting(ix, seeds, base=None, translate=True, stop=True):
+        calls["principal" if translate else "filter" if base is None
+              else "join"] += 1
+        return real(ix, seeds, base, translate, stop)
+
+    monkeypatch.setattr(congruences, "_close", counting)
+    assert len(enumerate_congruences(max_min_pair(8))) == 64
+    assert calls == {"principal": 28, "filter": 21, "join": 192}
+
+
 def test_classification_budget_raises_bound_exhausted(monkeypatch, bool_pair):
-    # the boolean pair's diagonal has a chain quotient: the prime test reads
-    # the mul table and forms no twist product, the semiprime test squares
-    # the one pair (0, 1); the spectrum charges both to one budget
+    # the boolean pair's diagonal has a chain quotient: both tests read the
+    # tables and form no twist product, so the whole spectrum fits a budget
+    # of 0
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 0)
     d = diagonal(bool_pair)
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 1)
-    assert is_semiprime(d)
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 0)
-    assert is_prime(d)
-    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=0"):
-        is_semiprime(d)
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 1)
+    assert is_prime(d) and is_semiprime(d)
     assert len(prime_spectrum_krull(bool_pair)["primes"]) == 1
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 0)
-    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=0"):
-        prime_spectrum_krull(bool_pair)
+    # F_3 is commutative but no chain: its diagonal squares the 2 orbits
+    # (0, 1) and (1, 2) for the semiprime test and multiplies their 3
+    # pairings for the prime test; the spectrum charges both to one budget
+    f3 = fq_pair(3)
+    d = diagonal(f3)
+    for test, n in ((is_semiprime, 2), (is_prime, 3)):
+        monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", n)
+        assert test(d)
+        monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", n - 1)
+        with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=%d" % (n - 1)):
+            test(d)
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 5)
+    assert len(prime_spectrum_krull(f3)["primes"]) == 1
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 4)
+    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=4"):
+        prime_spectrum_krull(f3)
 
 
 def test_scan_budget_counts_twist_products(monkeypatch):
     # mul of the upper-triangular Boolean matrices does not commute, so the
     # 8-class diagonal is scanned: 74 twist products for the prime test, 76
     # for the semiprime test; its 4 other congruences have commutative
-    # quotients, and the spectrum forms 160 products in all
+    # quotients, three of them chains, and the spectrum forms 158 products
+    # in all
     p = upper_triangular_boolean()
     d = diagonal(p)
     for test, n in ((is_prime, 74), (is_semiprime, 76)):
@@ -209,10 +238,10 @@ def test_scan_budget_counts_twist_products(monkeypatch):
         monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", n - 1)
         with pytest.raises(BoundExhausted):
             test(d)
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 160)
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 158)
     assert len(prime_spectrum_krull(p)["primes"]) == 3
-    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 159)
-    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=159"):
+    monkeypatch.setattr(congruences, "MAX_TWIST_PRODUCTS", 157)
+    with pytest.raises(BoundExhausted, match="MAX_TWIST_PRODUCTS=157"):
         prime_spectrum_krull(p)
 
 

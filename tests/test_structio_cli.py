@@ -13,7 +13,7 @@ from pairalg.pairs import SemiringPair
 from pairalg.semirings import nmax_trunc
 from pairalg.structio import (ParseError, load_structures, parse_structures,
                               serialize_structures)
-from test_congruence_oracle import fq_pair
+from test_congruence_oracle import fq_pair, residue_ring
 from test_fractions import boolean_matrices
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -34,6 +34,23 @@ def test_fixture_roundtrip(name):
         text = fh.read()
     structs = parse_structures(text)
     assert serialize_structures(structs) == text
+
+
+def test_pair_without_tangibles_roundtrip(tmp_path, capsys):
+    # Z/4Z with A0 = {0} and T = {}: an empty layer is written as a key with
+    # no value, and read back as the empty layer
+    p = residue_ring(4)
+    text = serialize_structures({"semiring": p.carrier, "pair": p})
+    assert "\ntangibles = \n" in text
+    back = parse_structures(text)["pair"]
+    assert list(back.a0_elements()) == [0] and list(back.tangible_elements()) == []
+    assert serialize_structures({"semiring": back.carrier, "pair": back}) == text
+    empty_a0 = parse_structures(text.replace("a0 = 0", "a0 ="))["pair"]
+    assert list(empty_a0.a0_elements()) == []
+    path = tmp_path / "z4.pair"
+    path.write_text(text)
+    code, report = run(capsys, "congruences", str(path))
+    assert code == 0 and report["count"] == 3
 
 
 def test_parse_boolean_pair():
