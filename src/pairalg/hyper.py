@@ -2,7 +2,11 @@
 pairs, and coset quotients in the style of Krasner.
 
 A subset of elements is also held as an int bitmask, bit v set iff v is in
-it, and every subset sum and set-valued product goes through ``_sum``."""
+it. Subset sums and set-valued products go through ``_sum``, except in the
+power-set carrier, which keeps for each subset S the columns a [+] S and a S
+over the base elements a and ORs the columns of one operand over the members
+of the other. A Krasner quotient reads its coset sums from the semiring's own
+addition table, with each entry as a one-bit mask."""
 
 import itertools
 import operator
@@ -171,55 +175,37 @@ A0_CONTAINS_ZERO = "contains_zero"
 A0_SIZE_GE_TWO = "size_ge_two"
 
 
-class _Sums(dict):
-    """Memo of the subset sums x [table] y, one row per x: ``sums[x][y]`` is
-    the frozenset of ``_sum(table, x, y)``, one object per mask, kept in
-    ``sets``."""
-
-    def __init__(self, table, sets):
-        super().__init__()
-        self.table = table
-        self.sets = sets
-
-    def __missing__(self, x):
-        row = self[x] = _SumRow(self.table, self.sets, x)
-        return row
-
-
-class _SumRow(dict):
-    """The row of x in a ``_Sums`` memo."""
-
-    def __init__(self, table, sets, x):
-        super().__init__()
-        self.table = table
-        self.sets = sets
-        self.x = x
-
-    def __missing__(self, y):
-        m = _sum(self.table, self.x, y)
-        s = self.sets.get(m)
-        if s is None:
-            s = self.sets[m] = frozenset(_members(m))
-        self[y] = s
-        return s
-
-
 class PowersetCarrier(Carrier):
     """The subsets of a semi-hyperring's elements that sums of singletons
-    reach, as frozensets. Each sum and product of two subsets is formed
-    once, over masks, and kept: there is one frozenset object per subset."""
+    reach, as frozensets. Each subset S is made once from its mask, with two
+    columns over the base elements a: the masks of a [+] S and of a S. A sum
+    x [+] y is the union of y's plus-column over the members of x, a product
+    the same over y's times-column, and the union's mask finds the one
+    frozenset of that subset. A subset made elsewhere gets its columns on
+    first use."""
 
     finite = True
 
     def __init__(self, h):
         self.h = h
         self.name = "powerset(%s)" % h.name
-        sets = {1 << a: frozenset([a]) for a in h.elements()}
-        self.zero, self.one = sets[1 << h.zero], sets[1 << h.one]
-        self.sums = _Sums(h.masks, sets)
-        self.products = _Sums(_singletons(h.mul_table), sets)
-        self.elems = sorted(additive_closure(self.add, list(sets.values())),
+        self.tables = h.masks, _singletons(h.mul_table)
+        self.sets, self.plus, self.times = {}, {}, {}
+        singletons = [self._subset(1 << a) for a in h.elements()]
+        self.zero, self.one = singletons[h.zero], singletons[h.one]
+        self.elems = sorted(additive_closure(self.add, singletons),
                             key=lambda s: (len(s), sorted(s)))
+
+    def _subset(self, m):
+        """The frozenset of the mask m, made once, with its columns."""
+        s = self.sets.get(m)
+        if s is None:
+            s = self.sets[m] = frozenset(_members(m))
+            elems = self.h.elements()
+            plus, times = self.tables
+            self.plus[s] = [_sum(plus, (a,), s) for a in elems]
+            self.times[s] = [_sum(times, (a,), s) for a in elems]
+        return s
 
     def elements(self):
         return list(self.elems)
@@ -228,10 +214,24 @@ class PowersetCarrier(Carrier):
         return list(self.elems)
 
     def add(self, x, y):
-        return self.sums[x][y]
+        return self._union(self.plus, x, y)
 
     def mul(self, x, y):
-        return self.products[x][y]
+        return self._union(self.times, x, y)
+
+    def _union(self, columns, x, y):
+        """The subset that is the union of y's column over the members of x."""
+        try:
+            col = columns[y]
+        except KeyError:
+            col = columns[self._subset(sum(1 << b for b in y))]
+        m = 0
+        for a in x:
+            m |= col[a]
+        try:
+            return self.sets[m]
+        except KeyError:
+            return self._subset(m)
 
     def label(self, x):
         return "{%s}" % ",".join(self.h.label(a) for a in sorted(x))
@@ -279,10 +279,10 @@ def _check_subgroup(mul, one, g):
     if one not in g:
         raise PreconditionError("subgroup must contain the unit")
     for a, b in itertools.product(g, repeat=2):
-        if mul(a, b) not in g:
+        if mul[a][b] not in g:
             raise PreconditionError("subgroup not multiplicatively closed at (%r, %r)" % (a, b))
     for a in g:
-        if not any(mul(a, b) == one for b in g):
+        if not any(mul[a][b] == one for b in g):
             raise PreconditionError("element %r has no inverse in subgroup" % (a,))
     return g
 
@@ -290,32 +290,39 @@ def _check_subgroup(mul, one, g):
 def krasner_quotient(r, g):
     """Coset semi-hyperring R/G of a finite commutative semiring by a
     multiplicative subgroup: [r] boxplus [r'] collects the cosets of all sums
-    of representatives. Coset representative is the lowest element index."""
+    of representatives. Coset representative is the lowest element index.
+    The sums are read from r's own addition table."""
     if not r.finite:
         raise PreconditionError("Krasner quotient needs a finite carrier")
-    return hyper_coset_quotient(semiring_as_hyperring(r), g)
+    return _coset_quotient(r, _singletons(r.add_table), g)
 
 
 def hyper_coset_quotient(h, g):
     """Coset quotient of a finite semi-hyperring by a subgroup of its
     multiplicative monoid. The quotient's axiom report is kept on it as
     ``verification``; a quotient that fails the axioms raises."""
-    g = _check_subgroup(h.mul, h.one, g)
+    return _coset_quotient(h, h.masks, g)
+
+
+def _coset_quotient(h, masks, g):
+    """The coset quotient of h by g, with masks[x][y] the mask of x + y."""
+    mul = h.mul_table
+    g = _check_subgroup(mul, h.one, g)
 
     cosets = []
     seen = {}
     cidx = {}
     for x in h.elements():
-        c = frozenset(h.mul(x, a) for a in g)
+        c = frozenset(mul[x][a] for a in g)
         if c not in seen:
             seen[c] = len(cosets)
             cosets.append(c)
         cidx[x] = seen[c]
     reps = [min(c) for c in cosets]
 
-    hyperadd = [[frozenset(cidx[z] for z in _members(_sum(h.masks, c1, c2)))
+    hyperadd = [[frozenset(cidx[z] for z in _members(_sum(masks, c1, c2)))
                  for c2 in cosets] for c1 in cosets]
-    mul_table = [[cidx[h.mul(reps[i], reps[j])] for j in range(len(cosets))] for i in range(len(cosets))]
+    mul_table = [[cidx[mul[reps[i]][reps[j]]] for j in range(len(cosets))] for i in range(len(cosets))]
     labels = ["[%s]" % h.label(rep) for rep in reps]
     out = SemiHyperring(
         labels, hyperadd, mul_table,

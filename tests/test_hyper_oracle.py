@@ -4,8 +4,14 @@ violation and witness in order; the same subset sums and coset tables; and
 the same power-set pairs, with their elements, A0, T, and every sum and
 product. Cases: the Krasner hyperfield, every Krasner quotient of F_5, F_7,
 F_11 and F_13 under both A0 choices, the fixture semirings viewed as
-hyperrings, and drawn 2-4 element tables, many of which fail an axiom."""
+hyperrings, and drawn 2-4 element tables, many of which fail an axiom.
 
+Also: the power-set carrier's sums and products of subsets it did not make,
+the admissibility reports of power-set pairs of Krasner quotients, and
+Krasner quotients read from the semiring's tables against the quotient of
+the semiring viewed as a hyperring."""
+
+import functools
 import itertools
 import os
 
@@ -14,10 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 import hyper_reference as ref
 from pairalg.errors import PreconditionError
-from pairalg.hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHypergroup,
-                           SemiHyperring, krasner_hyperfield, krasner_quotient,
-                           powerset_pair, semiring_as_hyperring,
-                           verify_semihypergroup, verify_semihyperring)
+from pairalg.hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, PowersetCarrier,
+                           SemiHypergroup, SemiHyperring, hyper_coset_quotient,
+                           krasner_hyperfield, krasner_quotient, powerset_pair,
+                           semiring_as_hyperring, verify_semihypergroup,
+                           verify_semihyperring)
+from pairalg.pairs import verify_admissible
 from pairalg.structio import load_structures
 from test_fraction_oracle import unit_subgroups
 from test_hyper import mod_field
@@ -125,3 +133,127 @@ def test_drawn_tables_match_reference(h):
     subsets = [frozenset(s) for k in range(1, h.n + 1)
                for s in itertools.combinations(range(h.n), k)]
     check(h, subsets)
+
+
+# ---------------------------------------------------------------------------
+# The power-set carrier on subsets it did not make
+
+
+@functools.lru_cache(maxsize=None)
+def quotient(q, g):
+    return krasner_quotient(mod_field(q), list(g))
+
+
+def setwise_product(h, x, y):
+    return frozenset(h.mul(a, b) for a in x for b in y)
+
+
+def check_operands(h, c, subsets):
+    """Every sum and product of the given subsets, none of them made by the
+    carrier c, against the reference: equal, a plain frozenset, and the
+    carrier's own object when the subset is in its closure."""
+    made = {s: s for s in c.elements()}
+    for x, y in itertools.product(subsets, repeat=2):
+        for got, want in ((c.add(x, y), ref.hadd_sets(h, x, y)),
+                          (c.mul(x, y), setwise_product(h, x, y))):
+            assert got == want
+            assert type(got) is frozenset
+            assert made.get(got, got) is got
+
+
+QUOTIENT_KEYS = [(q, tuple(g)) for q in (11, 13) for g in unit_subgroups(q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), key=st.sampled_from(QUOTIENT_KEYS))
+def test_carrier_sums_subsets_it_did_not_make(data, key):
+    h = quotient(*key)
+    subset = st.frozensets(st.integers(0, h.n - 1), max_size=h.n)
+    subsets = data.draw(st.lists(subset, min_size=1, max_size=4))
+    check_operands(h, PowersetCarrier(h), subsets)
+
+
+@pytest.mark.parametrize("q, g, outside", [(11, (1, 10), 10), (13, (1, 12), 32)])
+def test_carrier_sums_products_outside_its_closure(q, g, outside):
+    """The products of two closure members that fall outside the closure,
+    rebuilt as new frozensets, used as operands with each other and with
+    every member."""
+    h = quotient(q, g)
+    closure = set(ref.powerset_pair(h).carrier.elements())
+    beyond = {setwise_product(h, x, y)
+              for x, y in itertools.product(closure, repeat=2)} - closure
+    assert len(beyond) == outside
+    c = PowersetCarrier(h)
+    assert set(c.elements()) == closure
+    copies = [frozenset(set(s)) for s in c.elements()]
+    check_operands(h, c, sorted(beyond, key=sorted) + copies)
+
+
+# ---------------------------------------------------------------------------
+# Admissibility of the power-set pairs of Krasner quotients
+
+
+@pytest.mark.parametrize("q", [11, 13, 17])
+def test_admissibility_reports_match_reference(q):
+    """``checked``, violations and witnesses in order, for every quotient
+    with at most 7 classes; the products outside the closure show as
+    ``a0-mul-closed`` witnesses printed as ``frozenset({...})``."""
+    mul_closed = []
+    for g in unit_subgroups(q):
+        h = quotient(q, tuple(g))
+        if h.n > 7:
+            continue
+        for choice in (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO):
+            got = verify_admissible(powerset_pair(h, choice)).as_json()
+            assert got == verify_admissible(ref.powerset_pair(h, choice)).as_json()
+            mul_closed += [w for v in got["violations"]
+                           if v["axiom"] == "a0-mul-closed" for w in v["witness"]]
+    assert mul_closed
+    assert all(w.startswith("frozenset({") for w in mul_closed)
+
+
+# ---------------------------------------------------------------------------
+# Krasner quotients from the semiring's tables
+
+
+def quotient_outcome(build, r, g):
+    try:
+        h = build(r, g)
+    except PreconditionError as exc:
+        return ("refused", str(exc))
+    return (h.labels, h.name, h.hyperadd, h.mul_table, h.zero, h.one,
+            h.verification.as_json())
+
+
+def via_hyperring(r, g):
+    return hyper_coset_quotient(semiring_as_hyperring(r), g)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_krasner_quotient_matches_hyperring_path(q):
+    f = mod_field(q)
+    for g in unit_subgroups(q):
+        assert quotient_outcome(krasner_quotient, f, g) == quotient_outcome(
+            via_hyperring, f, g)
+
+
+def test_krasner_quotient_of_nmax3_matches_hyperring_path():
+    s = load_structures(os.path.join(FIXTURES, "nmax3.semiring"))["semiring"]
+    g = [s.index("0")]
+    assert quotient_outcome(krasner_quotient, s, g) == quotient_outcome(
+        via_hyperring, s, g)
+    refused = quotient_outcome(krasner_quotient, s, [s.index(x) for x in "0123"])
+    assert refused == ("refused", "element 2 has no inverse in subgroup")
+    assert refused == quotient_outcome(via_hyperring, s,
+                                       [s.index(x) for x in "0123"])
+
+
+@pytest.mark.parametrize("g, message", [
+    ([2, 4], "subgroup must contain the unit"),
+    ([1, 2], "subgroup not multiplicatively closed at (2, 2)"),
+    ([0, 1], "element 0 has no inverse in subgroup"),
+])
+def test_krasner_quotient_refuses_as_hyperring_path(g, message):
+    f = mod_field(7)
+    assert quotient_outcome(krasner_quotient, f, g) == ("refused", message)
+    assert quotient_outcome(via_hyperring, f, g) == ("refused", message)
