@@ -259,7 +259,8 @@ def cmd_radical(args, p):
 def cmd_polyroots(args, p):
     f = parse_poly(p, args.poly)
     roots = find_preceq_roots(f, p.elements(args.window))
-    labels = [p.label(r[0]) for r in roots]
+    # a root's first coordinate repeats over the later ones: label it once
+    labels = list(map(functools.cache(p.label), (r[0] for r in roots)))
     report = {"poly": args.poly, "roots": labels}
     if not p.finite:
         report["window"] = args.window

@@ -123,35 +123,80 @@ def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=20):
     return Verdict(NO if ext.base.carrier.finite else UNKNOWN, bound=degree_bound)
 
 
+# Work cap of one congruence-algebraic search: each pair of candidates the
+# dominance index decides, and each base point of each dominating pair, is
+# one check. The P^2 pairs are charged before any candidate is built, which
+# also bounds the index's P^2 bits.
+MAX_CA_CHECKS = 30000000
+
+
 def is_congruence_algebraic(ext, y, degree_bound=2, window=12):
     """Transcendence test per the functional definition: y is congruence
     algebraic when some f1(y) dominating f2(y) fails to dominate at a base
     point. Returns the violating (f1, f2, b) as certificate, and UNKNOWN
-    without one, as A[lambda] is infinite. Each candidate is evaluated at y
-    once, and at a base point the first time it is needed there."""
-    p = ext.ext
+    without one, as A[lambda] is infinite. f2(y) dominates f1(y) when each
+    coefficient does, so the base relation is tabulated once per exponent
+    over the distinct coefficients there, and the f2 dominating f1 are the
+    intersection of up-sets, visited in scan order. Each candidate is
+    evaluated at y once, and at the base points the first time a dominating
+    pair needs it; each pair of values is compared there once. Past
+    MAX_CA_CHECKS checks the answer is UNKNOWN with that bound."""
+    spent = Verdict(UNKNOWN, bound=MAX_CA_CHECKS,
+                    detail="work cap MAX_CA_CHECKS=%d spent" % MAX_CA_CHECKS)
     base_pair = ext.base
-    base_pts = ext.base.elements(window)
+    base_pts = base_pair.elements(window)
+    checks = len(base_pts) ** (2 * degree_bound + 2)
+    if checks > MAX_CA_CHECKS:
+        return spent
+    zero = base_pair.carrier.zero
     monos = [(k,) for k in range(degree_bound + 1)]
     powers = ext.powers(y, degree_bound)
-    polys, at_y = [], []
-    for choice in itertools.product(base_pts, repeat=len(monos)):
-        polys.append(Polynomial(base_pair, 1, dict(zip(monos, choice))))
-        at_y.append(ext.eval_poly(choice, powers))
-    at_point = {}
+    choices = list(itertools.product(base_pts, repeat=len(monos)))
+    at_y = [ext.eval_poly(choice, powers).terms for choice in choices]
 
-    def value(i, k):
-        if (i, k) not in at_point:
-            at_point[i, k] = poly_eval(polys[i], (base_pts[k],))
-        return at_point[i, k]
+    # ups[i] has bit j set when f2 = choices[j] dominates f1 = choices[i] at
+    # y; a coefficient that is zero on both sides puts no condition
+    ups = [(1 << len(choices)) - 1] * len(choices)
+    for e in set().union(*at_y):
+        coeffs = [t.get(e, zero) for t in at_y]
+        holders = {}
+        for j, a in enumerate(coeffs):
+            holders[a] = holders.get(a, 0) | 1 << j
+        up = {a: sum(mask for b, mask in holders.items()
+                     if a == b == zero or base_pair.surpasses(b, a) is True)
+              for a in holders}
+        for i, a in enumerate(coeffs):
+            ups[i] &= up[a]
 
-    for i, f1 in enumerate(polys):
-        for j, f2 in enumerate(polys):
-            if not p.surpasses(at_y[j], at_y[i]):
-                continue
-            for k, b in enumerate(base_pts):
-                if base_pair.surpasses(value(j, k), value(i, k)) is False:
-                    return Verdict(YES, witness={"f1": f1, "f2": f2, "point": b})
+    polys, rows = {}, {}
+
+    def row(i):
+        # candidate i and its values at the base points, on first need
+        if i not in rows:
+            polys[i] = Polynomial(base_pair, 1, dict(zip(monos, choices[i])))
+            rows[i] = [poly_eval(polys[i], (b,)) for b in base_pts]
+        return rows[i]
+
+    class Fails(dict):
+        # (f2(b), f1(b)) -> whether the base relation refuses it
+        def __missing__(self, pair):
+            self[pair] = base_pair.surpasses(*pair) is False
+            return self[pair]
+
+    fails = Fails().__getitem__
+    for i, up in enumerate(ups):
+        while up:
+            low = up & -up
+            up ^= low
+            j = low.bit_length() - 1
+            # a dominating pair is charged all its base points up front
+            checks += len(base_pts)
+            if checks > MAX_CA_CHECKS:
+                return spent
+            hits = list(map(fails, zip(row(j), row(i))))
+            if True in hits:
+                return Verdict(YES, witness={"f1": polys[i], "f2": polys[j],
+                                             "point": base_pts[hits.index(True)]})
     return Verdict(UNKNOWN, bound=degree_bound, detail="transcendental at bound")
 
 

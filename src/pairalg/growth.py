@@ -350,7 +350,10 @@ def is_semidomain(p, window=20):
 def ore_witness(p, a1, a2, degree_bound=2, window=8):
     """Searches tangible-coefficient g, h with g(a1,a2) a1 + h(a1,a2) a2 in
     A0 while g(a1,a2) and h(a1,a2) stay outside; returns b1, b2. A pair that
-    is not a semidomain raises PreconditionError."""
+    is not a semidomain raises PreconditionError. The coefficient tuples of
+    each degree are evaluated once, and only the first tuple of each value,
+    in scan order, is searched: it is the one the full scan would reach
+    first."""
     sd = is_semidomain(p, window)
     if sd.status == NO:
         raise PreconditionError("not a semidomain pair: %r" % (sd.witness,))
@@ -358,27 +361,29 @@ def ore_witness(p, a1, a2, degree_bound=2, window=8):
     pool = [c.zero] + p.tangible_elements(window)
     monos = [(i, j) for i in range(degree_bound + 1)
              for j in range(degree_bound + 1 - i)]
+    by_degree = {}
+
+    def outside(deg):
+        # value -> first coefficients (as a dict) of the values outside A0
+        if deg not in by_degree:
+            dmonos = [m for m in monos if m[0] + m[1] <= deg]
+            firsts = by_degree[deg] = {}
+            for co in itertools.product(pool, repeat=len(dmonos)):
+                b = value_at(p, dmonos, co, a1, a2)
+                if b is not None and b not in firsts and not p.in_a0(b):
+                    firsts[b] = dict(zip(dmonos, co))
+        return by_degree[deg].items()
 
     for total in range(0, 2 * degree_bound + 1):
         for gdeg in range(min(total, degree_bound) + 1):
             hdeg = total - gdeg
             if hdeg > degree_bound:
                 continue
-            gmonos = [m for m in monos if m[0] + m[1] <= gdeg]
-            hmonos = [m for m in monos if m[0] + m[1] <= hdeg]
-            for gco in itertools.product(pool, repeat=len(gmonos)):
-                b1 = value_at(p, gmonos, gco, a1, a2)
-                if b1 is None or p.in_a0(b1):
-                    continue
-                for hco in itertools.product(pool, repeat=len(hmonos)):
-                    b2 = value_at(p, hmonos, hco, a1, a2)
-                    if b2 is None or p.in_a0(b2):
-                        continue
-                    s = c.add(c.mul(b1, a1), c.mul(b2, a2))
-                    if p.in_a0(s):
+            for b1, g in outside(gdeg):
+                for b2, h in outside(hdeg):
+                    if p.in_a0(c.add(c.mul(b1, a1), c.mul(b2, a2))):
                         return Verdict(YES, witness={"b1": b1, "b2": b2,
-                                                     "g": dict(zip(gmonos, gco)),
-                                                     "h": dict(zip(hmonos, hco))})
+                                                     "g": g, "h": h})
     return Verdict(UNKNOWN if not p.finite else NO, bound=degree_bound,
                    detail="no witness at degree bound")
 

@@ -37,6 +37,7 @@ class SemiringPair:
         self.carrier = carrier
         self.in_a0, self._a0 = _layer(carrier, a0)
         self.is_tangible, self._tang = _layer(carrier, tangibles)
+        self._a0_sample = None  # (window, A0 drawn from it) of a predicate A0
         self._tangible_sample = tangible_sample
         self.surpass_fn = surpass_fn
         self.negation_hint = negation_hint
@@ -93,8 +94,13 @@ class SemiringPair:
         window) on symbolic ones."""
         if self.surpass_fn is not None:
             return self.surpass_fn(b1, b2)
-        # precedes zero: exists y in A0 with b2 = b1 + y
-        a0 = self._a0 if self._a0 is not None else self.a0_elements(window)
+        # precedes zero: exists y in A0 with b2 = b1 + y; a predicate A0 is
+        # sampled once per window, and the last window's sample kept
+        a0 = self._a0
+        if a0 is None:
+            if self._a0_sample is None or self._a0_sample[0] != window:
+                self._a0_sample = (window, self.a0_elements(window))
+            a0 = self._a0_sample[1]
         for y in a0:
             if self.add(b1, y) == b2:
                 return True

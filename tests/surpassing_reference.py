@@ -2,11 +2,13 @@
 replaced, kept as references: the surpassing-axiom check that asks
 ``surpasses`` inside every quadruple of the sample, the congruence-algebraic
 test that evaluates both candidate polynomials at y for every pair and at
-every base point again, and the root scan that evaluates each point with
-``poly_eval``. The bodies are those of the library before the change, with
-the ``window`` default spelled out; ``poly_eval`` and the evaluation at y
-are copied in too, so that the references stay fixed while the library's
-scans change."""
+every base point again, the root scan that evaluates each point with
+``poly_eval``, the semiring-axiom check that draws its triples with
+``random.choice``, and the Ore-type witness search that evaluates every
+h-tuple again for every g-tuple. The bodies are those of the library before
+the change, with the ``window`` default spelled out; ``poly_eval``, the
+evaluation at y and ``value_at`` are copied in too, so that the references
+stay fixed while the library's scans change."""
 
 import itertools
 import random
@@ -256,3 +258,52 @@ def poly_sample(pp, window):
         if len(out) >= window * window:
             break
     return out
+
+
+# The Ore-type witness search that evaluated every h-tuple again for every
+# g-tuple, with the evaluation it called.
+
+
+def ore_witness(p, a1, a2, degree_bound=2, window=8):
+    sd = is_semidomain(p, window)
+    if sd.status == NO:
+        raise PreconditionError("not a semidomain pair: %r" % (sd.witness,))
+    c = p.carrier
+    pool = [c.zero] + p.tangible_elements(window)
+    monos = [(i, j) for i in range(degree_bound + 1)
+             for j in range(degree_bound + 1 - i)]
+
+    for total in range(0, 2 * degree_bound + 1):
+        for gdeg in range(min(total, degree_bound) + 1):
+            hdeg = total - gdeg
+            if hdeg > degree_bound:
+                continue
+            gmonos = [m for m in monos if m[0] + m[1] <= gdeg]
+            hmonos = [m for m in monos if m[0] + m[1] <= hdeg]
+            for gco in itertools.product(pool, repeat=len(gmonos)):
+                b1 = value_at(p, gmonos, gco, a1, a2)
+                if b1 is None or p.in_a0(b1):
+                    continue
+                for hco in itertools.product(pool, repeat=len(hmonos)):
+                    b2 = value_at(p, hmonos, hco, a1, a2)
+                    if b2 is None or p.in_a0(b2):
+                        continue
+                    s = c.add(c.mul(b1, a1), c.mul(b2, a2))
+                    if p.in_a0(s):
+                        return Verdict(YES, witness={"b1": b1, "b2": b2,
+                                                     "g": dict(zip(gmonos, gco)),
+                                                     "h": dict(zip(hmonos, hco))})
+    return Verdict(UNKNOWN if not p.finite else NO, bound=degree_bound,
+                   detail="no witness at degree bound")
+
+
+def value_at(p, monos, coeffs, a1, a2):
+    c = p.carrier
+    if all(a == c.zero for a in coeffs):
+        return None
+    acc = c.zero
+    for (i, j), a in zip(monos, coeffs):
+        if a == c.zero:
+            continue
+        acc = c.add(acc, c.mul(a, c.mul(c.power(a1, i), c.power(a2, j))))
+    return acc

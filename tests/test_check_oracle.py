@@ -17,8 +17,8 @@ from pairalg.growth import is_semidomain
 from pairalg.pairs import (PN_NEG_COMPATIBLE, PN_NONE, PN_PROPERTY_N,
                            PN_TANGIBLY_SEPARATING, SemiringPair,
                            property_n_status)
-from pairalg.semirings import (FiniteSemiring, SymbolicSemiring, double,
-                               nat_plus_times, nmax_trunc,
+from pairalg.semirings import (FiniteSemiring, SymbolicSemiring, _seeded_indices,
+                               double, nat_plus_times, nmax_trunc,
                                supertropical_integers, supertropical_naturals,
                                verify_semiring_axioms)
 from pairalg.structio import load_structures
@@ -110,7 +110,7 @@ SEMIRING_CASES = (
     + [case(n, make().carrier, w) for n, make in BUILTINS.items()
        for w in range(1, 9)]
     + [case("double-nat", double(nat_plus_times()).carrier, w) for w in (1, 2, 3)]
-    + [case(n, s, w) for n, s in SKEWED.items() for w in (2, 7)]
+    + [case(n, s, w) for n, s in SKEWED.items() for w in (2, 3, 7)]
     + [case(p.name, p.carrier, None) for p in drawn_pairs()[:10]])
 
 
@@ -141,6 +141,17 @@ def test_property_n_and_semidomain_match_reference(p, window):
     assert pn_tuple(property_n_status(p, **kw)) == pn_tuple(
         ref.property_n_status(p, **kw))
     assert is_semidomain(p, **kw) == ref.is_semidomain(p, **kw)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 43, 163])
+def test_seeded_indices_are_the_draws_of_random_choice(n):
+    # a power of two needs one more bit than n - 1, so half its draws are
+    # rejected and drawn again
+    rng = random.Random(0)
+    want = [rng.choice(range(n)) for _ in range(6000)]
+    assert _seeded_indices(n, 6000) == want
+    with pytest.raises(IndexError):
+        _seeded_indices(0, 1)
 
 
 def test_oracle_cases_reach_every_outcome():

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+import surpassing_reference as ref
 from pairalg import growth
+from pairalg.cli import builtin_structures
 from pairalg.errors import BoundExhausted, PreconditionError
 from pairalg.growth import (ModulePair, base_check, build_model, commutative_model,
                             free_module_pair, free_words_model, gk_dimension,
@@ -134,6 +136,50 @@ def test_ore_witness_supertropical(st_nat):
     combo = c.add(c.mul(b1, ("t", 1)), c.mul(b2, ("t", 2)))
     assert st_nat.in_a0(combo)
     assert (b1, b2) == (("t", 1), ("t", 0))
+
+
+ORE_CASES = [
+    ("stn", "supertropical-naturals", [(("t", 1), ("t", 2)), (("t", 3), ("t", 0))]),
+    ("stz", "supertropical-integers", [(("t", -2), ("t", 4)), (("t", 5), ("t", 5))]),
+    ("nat", "nat-plus-times", [(2, 3), (1, 1)]),
+    ("st3", "supertropical3", [(1, 1)]),
+    ("bool", "boolean", [(1, 1)]),
+]
+
+
+@pytest.mark.parametrize("name, builtin, args", ORE_CASES,
+                         ids=[c[0] for c in ORE_CASES])
+def test_ore_witness_matches_reference(name, builtin, args):
+    p = builtin_structures(builtin)["pair"]
+    for a1, a2 in args:
+        for degree in (0, 1, 2):
+            # past window 1 the reference's degree-2 scan on nat-plus-times
+            # takes seconds
+            for window in (1,) if name == "nat" and degree == 2 else (1, 2, 3):
+                want = ref.ore_witness(p, a1, a2, degree_bound=degree, window=window)
+                got = ore_witness(p, a1, a2, degree_bound=degree, window=window)
+                assert got == want, (a1, a2, degree, window)
+
+
+def test_ore_witness_evaluates_each_tuple_once(monkeypatch):
+    # nat-plus-times has A0 = {0}, so no witness exists and the search runs
+    # out: the scan it replaced evaluated every h-tuple again for every
+    # g-tuple, 900, 4,624 and 16,900 times; now each degree's (w + 1) and
+    # (w + 1)^3 tuples are evaluated once
+    p = builtin_structures("nat-plus-times")["pair"]
+    calls = []
+    value_at = growth.value_at
+
+    def counted(*args):
+        calls.append(args)
+        return value_at(*args)
+
+    monkeypatch.setattr(growth, "value_at", counted)
+    for window, count in ((2, 30), (3, 68), (4, 130)):
+        calls.clear()
+        v = ore_witness(p, 2, 3, degree_bound=1, window=window)
+        assert v.status == "unknown"
+        assert len(calls) == count == (window + 1) + (window + 1) ** 3
 
 
 def test_rank_caps_raise_bound_exhausted(bool_pair, monkeypatch):

@@ -8,7 +8,7 @@ from pairalg.pairs import (SemiringPair, check_nondegenerate,
                            property_n_status, verify_admissible,
                            verify_surpassing)
 from pairalg.polynomials import PolynomialPair
-from pairalg.semirings import nmax_trunc
+from pairalg.semirings import double, nat_plus_times, nmax_trunc
 
 
 def test_boolean_pair_admissible(bool_pair):
@@ -162,3 +162,28 @@ def test_listed_a0_decides_precedes_zero():
     assert p.surpasses(2, 3) is False
     assert p.surpasses(3, 3) is True
     assert p.a0_elements() == [0]
+
+
+def test_precedes_zero_samples_a0_once_per_window():
+    # A0 is the diagonal predicate: the sample of the last window is kept
+    p = double(nat_plus_times())
+    fresh = double(nat_plus_times())
+    windows = []
+    sample_fn = p.carrier.sample_fn
+
+    def counted(window):
+        windows.append(window)
+        return sample_fn(window)
+
+    p.carrier.sample_fn = counted
+    elems = fresh.elements(2)
+    for window in (2, 2, 3, 3, 2):
+        for b1 in elems[:4]:
+            for b2 in elems:
+                a0 = fresh.a0_elements(window)
+                want = True if any(fresh.add(b1, y) == b2 for y in a0) else None
+                assert p.surpasses(b1, b2, window) is want
+    assert windows == [2, 3, 2]
+    assert p.surpasses((0, 0), (1, 1), 2) is True
+    assert p.surpasses((0, 0), (5, 5), 2) is None
+    assert windows == [2, 3, 2]

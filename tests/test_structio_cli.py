@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from pairalg import cli, congruences, growth
+from pairalg import cli, congruences, growth, semirings
 from pairalg.cli import main
 from pairalg.errors import StructureError
 from pairalg.hyper import SemiHypergroup
 from pairalg.pairs import SemiringPair
+from pairalg.polynomials import find_preceq_roots, parse_poly
 from pairalg.semirings import nmax_trunc
 from pairalg.structio import (ParseError, load_structures, parse_structures,
                               serialize_structures)
@@ -335,6 +336,27 @@ def test_cli_polyroots_tangible_window(capsys):
                        "--poly", "x^2 + 1*x + 4", "--window", "10")
     assert code == 0
     assert "2" in report["roots"]
+
+
+def test_cli_polyroots_labels_each_first_coordinate_once(capsys, monkeypatch):
+    # a two-variable literal has many roots per first coordinate
+    p = semirings.supertropical_integers()
+    roots = find_preceq_roots(parse_poly(p, "1v*x*y + 2"), p.elements(10))
+    firsts = {r[0] for r in roots}
+    assert len(roots) > 10 * len(firsts) > 0
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return label(x)
+
+    label = semirings.st_label
+    monkeypatch.setattr(semirings, "st_label", counted)
+    code, report = run(capsys, "polyroots", "supertropical-integers",
+                       "--poly", "1v*x*y + 2", "--window", "10")
+    assert code == 0
+    assert report["roots"] == [label(r[0]) for r in roots]
+    assert sorted(calls) == sorted(firsts)
 
 
 def test_cli_growth_matrix_units(capsys):

@@ -9,7 +9,8 @@ import os
 import pytest
 
 import surpassing_reference as ref
-from pairalg.cli import builtin_structures
+from pairalg import extensions
+from pairalg.cli import builtin_structures, main
 from pairalg.extensions import ExtensionPair, is_congruence_algebraic
 from pairalg.pairs import SemiringPair, verify_surpassing
 from pairalg.polynomials import (Polynomial, PolynomialPair,
@@ -115,7 +116,8 @@ CA_CASES = (
     [case(n, fixture_pair(n), None, 1) for n in FIXTURE_NAMES]
     + [case(n, fixture_pair(n), None, 2) for n in ("boolean.pair", "supertropical3.pair")]
     + [case(n, make(), 1, 1) for n, make in BUILTINS.items()]
-    + [case("stn", supertropical_naturals(), 0, 2), case("nat", nat_pair(), 2, 1)])
+    + [case("stn", supertropical_naturals(), 0, 2), case("nat", nat_pair(), 2, 1),
+       case("stz", supertropical_integers(), 2, 1)])
 
 
 @pytest.mark.parametrize("p, window, degree", CA_CASES)
@@ -190,6 +192,51 @@ def test_congruence_algebraic_evaluates_each_candidate_at_y_once(monkeypatch):
     is_congruence_algebraic(ext, parse_poly(p, "x"), degree_bound=1, window=2)
     assert len(ext.base.elements(2)) == 11
     assert len(calls) == 11 ** 2
+
+
+def test_congruence_algebraic_compares_coefficients_not_polynomials(monkeypatch):
+    # the dominance index tabulates the base relation over the 11 distinct
+    # coefficients at each of the two exponents of a0 + a1 x (120 pairs
+    # each, with no call for zero against zero), then compares each pair of
+    # values at a base point once; the scan it replaced made 14,641
+    # polynomial comparisons here
+    p = supertropical_integers()
+    ext = extension(p)
+    calls = []
+    surpasses = p.surpasses
+
+    def counted(*args):
+        calls.append(args)
+        return surpasses(*args)
+
+    def refused(*args):
+        raise AssertionError("polynomial-pair surpasses called")
+
+    monkeypatch.setattr(p, "surpasses", counted)
+    monkeypatch.setattr(ext.ext, "surpasses", refused)
+    v = is_congruence_algebraic(ext, parse_poly(p, "x"), degree_bound=1, window=2)
+    assert v.status == "unknown" and v.detail == "transcendental at bound"
+    assert len(calls) == 2 * 120 + 101 < 2000
+
+
+def test_congruence_algebraic_work_cap(monkeypatch):
+    # x + 1 over the Boolean pair is congruence algebraic, found after the
+    # 4^2 candidate pairs and 3 dominating pairs of 2 base points each
+    p = builtin_structures("boolean")["pair"]
+    ext = extension(p)
+    y = parse_poly(p, "x + 1")
+    assert is_congruence_algebraic(ext, y, degree_bound=1).status == "yes"
+    monkeypatch.setattr(extensions, "MAX_CA_CHECKS", 22)
+    assert is_congruence_algebraic(ext, y, degree_bound=1).status == "yes"
+    for cap in (21, 15):
+        monkeypatch.setattr(extensions, "MAX_CA_CHECKS", cap)
+        v = is_congruence_algebraic(ext, y, degree_bound=1)
+        assert (v.status, v.bound) == ("unknown", cap)
+        assert v.detail == "work cap MAX_CA_CHECKS=%d spent" % cap
+    argv = ["classify-element", "boolean", "--element", "x + 1", "--degree", "1"]
+    assert main(argv) == 3
+    monkeypatch.undo()
+    assert main(argv) == 0
 
 
 def test_surpassing_tabulates_before_the_additivity_scan(monkeypatch):
