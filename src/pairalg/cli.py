@@ -237,7 +237,7 @@ def _parse_seed_pairs(p, text):
 
 
 def cmd_radical(args, p):
-    if not p.finite:
+    if not p.carrier.finite:
         raise StructureError("radical expects a finite structure")
     try:
         if args.generators:
@@ -260,16 +260,16 @@ def cmd_polyroots(args, p):
     f = parse_poly(p, args.poly)
     roots = find_preceq_roots(f, p.elements(args.window))
     # a root's first coordinate repeats over the later ones: label it once
-    labels = list(map(functools.cache(p.label), (r[0] for r in roots)))
+    labels = list(map(functools.cache(p.carrier.label), (r[0] for r in roots)))
     report = {"poly": args.poly, "roots": labels}
-    if not p.finite:
+    if not p.carrier.finite:
         report["window"] = args.window
     return emit(args, report, "%d roots" % len(roots),
                 EXIT_OK if roots else EXIT_FAIL)
 
 
 def cmd_localize(args, p):
-    if not p.finite:
+    if not p.carrier.finite:
         raise StructureError("localize expects a finite structure file")
     S = [p.carrier.index(lab) for lab in args.s_subset.split()]
     try:
@@ -360,7 +360,7 @@ def cmd_gk(args, profile):
 
 def cmd_ore_witness(args, p):
     def grab(text):
-        if p.finite:
+        if p.carrier.finite:
             a = p.carrier.index(text)
         else:
             try:

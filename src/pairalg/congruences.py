@@ -264,13 +264,13 @@ class _Quotient:
     """A congruence's quotient (see ``_quotient``), on which the congruence
     is the diagonal, and the shape that picks the prime and semiprime
     tests: ``commutative`` (mul commutes), ``chain`` (commutative, and
-    a + b is a or b) and, when commutative, ``outside``. Scaling a pair by
-    a unit u, x -> x * (u, 0), and swapping its entries are bijections of
-    the pairs that keep the diagonal and its complement, and (x * (u, 0)) * y
-    = (x * y) * (u, 0), swap(x) * y = swap(x * y). So whether x * y lies on
-    the diagonal depends only on the orbits of x and y under these maps,
-    and ``outside`` holds one pair (a, b) with a < b per orbit off the
-    diagonal."""
+    a + b is a or b) and, when commutative and no chain, ``outside``.
+    Scaling a pair by a unit u, x -> x * (u, 0), and swapping its entries
+    are bijections of the pairs that keep the diagonal and its complement,
+    and (x * (u, 0)) * y = (x * y) * (u, 0), swap(x) * y = swap(x * y). So
+    whether x * y lies on the diagonal depends only on the orbits of x and
+    y under these maps, and ``outside`` holds one pair (a, b) with a < b per
+    orbit off the diagonal."""
 
     def __init__(self, cong):
         q, _ = _quotient(cong)
@@ -283,7 +283,7 @@ class _Quotient:
         self.chain = self.commutative and all(
             s == a or s == b for a, row in enumerate(add) for b, s in enumerate(row))
         self.outside = []
-        if not self.commutative:
+        if not self.commutative or self.chain:
             return
         units = [u for u, row in enumerate(mul) if q.one in row]
         seen = set()
@@ -650,7 +650,7 @@ def quotient_pair(p, cong):
         raise PreconditionError("quotient needs a finite carrier")
     c = p.carrier
     qcar, image = _quotient(cong, lambda e: "[%s]" % c.label(e),
-                            "%s/~" % getattr(c, "name", "A"))
+                            "%s/~" % c.name)
     for t, induced in zip(cong.index.tables, (qcar.add_table, qcar.mul_table)):
         for a, row in enumerate(t):
             on_class = induced[image[a]]

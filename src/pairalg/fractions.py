@@ -277,7 +277,7 @@ def build_fraction_pair(p, S, window=30, s_member=None):
     reps = [cl[0] for cl in classes]
     s0 = ctx.s_elements[0]
     fraction_classes = SymbolicSemiring(
-        name="S^-1(%s)" % getattr(c, "name", "A"),
+        name="S^-1(%s)" % c.name,
         add_fn=lambda i, j: cls_of(frac_add(reps[i], reps[j])),
         mul_fn=lambda i, j: cls_of(frac_mul(reps[i], reps[j])),
         zero=cls_of(ctx.fraction(c.zero, s0)),

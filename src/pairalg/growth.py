@@ -344,7 +344,7 @@ def is_semidomain(p, window=20):
         for b in outside:
             if in_a0(mul(t, b)) or in_a0(mul(b, t)):
                 return Verdict(NO, witness=(t, b))
-    return Verdict.held(p.finite, window)
+    return Verdict.held(p.carrier.finite, window)
 
 
 def ore_witness(p, a1, a2, degree_bound=2, window=8):
@@ -384,7 +384,7 @@ def ore_witness(p, a1, a2, degree_bound=2, window=8):
                     if p.in_a0(c.add(c.mul(b1, a1), c.mul(b2, a2))):
                         return Verdict(YES, witness={"b1": b1, "b2": b2,
                                                      "g": g, "h": h})
-    return Verdict(UNKNOWN if not p.finite else NO, bound=degree_bound,
+    return Verdict(UNKNOWN if not p.carrier.finite else NO, bound=degree_bound,
                    detail="no witness at degree bound")
 
 

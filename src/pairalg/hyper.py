@@ -48,20 +48,11 @@ class SemiHypergroup(Labelled):
 
     def __init__(self, labels, hyperadd, zero, name=""):
         super().__init__(labels)
-        n = self.n
-        if len(hyperadd) != n or any(len(row) != n for row in hyperadd):
-            raise StructureError("hyperadd table is not %dx%d" % (n, n))
-        table = []
-        for row in hyperadd:
-            new = []
-            for cell in row:
-                fs = frozenset(cell)
-                if not fs:
-                    raise StructureError("empty hyperaddition value")
-                if any(not (0 <= v < n) for v in fs):
-                    raise StructureError("hyperadd entry out of range")
-                new.append(fs)
-            table.append(new)
+        self._check_table("hyperadd", hyperadd,
+                          map(itertools.chain.from_iterable, hyperadd), (zero,))
+        table = [[frozenset(cell) for cell in row] for row in hyperadd]
+        if not all(map(all, table)):
+            raise StructureError("empty hyperaddition value")
         self.hyperadd = table
         self.masks = [[sum(1 << v for v in fs) for fs in row] for row in table]
         self.zero = zero
@@ -81,11 +72,7 @@ class SemiHyperring(SemiHypergroup):
 
     def __init__(self, labels, hyperadd, mul_table, zero, one, name=""):
         super().__init__(labels, hyperadd, zero, name or "semihyperring")
-        n = self.n
-        if len(mul_table) != n or any(len(row) != n for row in mul_table):
-            raise StructureError("mul table is not %dx%d" % (n, n))
-        if any(not (0 <= v < n) for row in mul_table for v in row):
-            raise StructureError("mul table entry out of range")
+        self._check_table("mul", mul_table, mul_table, (one,))
         self.mul_table = [list(r) for r in mul_table]
         self.one = one
         self.verification = None

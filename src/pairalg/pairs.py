@@ -41,33 +41,7 @@ class SemiringPair:
         self._tangible_sample = tangible_sample
         self.surpass_fn = surpass_fn
         self.negation_hint = negation_hint
-        self.name = name or ("pair(%s)" % getattr(carrier, "name", "?"))
-
-    # -- carrier delegation
-
-    @property
-    def finite(self):
-        return self.carrier.finite
-
-    @property
-    def zero(self):
-        return self.carrier.zero
-
-    @property
-    def one(self):
-        return self.carrier.one
-
-    def add(self, x, y):
-        return self.carrier.add(x, y)
-
-    def mul(self, x, y):
-        return self.carrier.mul(x, y)
-
-    def power(self, x, k):
-        return self.carrier.power(x, k)
-
-    def label(self, x):
-        return self.carrier.label(x)
+        self.name = name or ("pair(%s)" % carrier.name)
 
     def elements(self, window=DEFAULT_WINDOW):
         return list(self.carrier.sample(window))
@@ -80,7 +54,7 @@ class SemiringPair:
         return [x for x in self.elements(window) if self.in_a0(x)]
 
     def tangible_elements(self, window=DEFAULT_WINDOW):
-        if self._tangible_sample is not None and not self.finite:
+        if self._tangible_sample is not None and not self.carrier.finite:
             return list(self._tangible_sample(window))
         if self._tang is not None:
             return list(self._tang)
@@ -102,10 +76,10 @@ class SemiringPair:
                 self._a0_sample = (window, self.a0_elements(window))
             a0 = self._a0_sample[1]
         for y in a0:
-            if self.add(b1, y) == b2:
+            if self.carrier.add(b1, y) == b2:
                 return True
         # a listed A0 is searched whole, so a miss is decided
-        return False if self.finite or self._a0 is not None else None
+        return False if self.carrier.finite or self._a0 is not None else None
 
     def __repr__(self):
         return "SemiringPair(%s)" % self.name
@@ -158,16 +132,17 @@ def verify_admissible(p, window=DEFAULT_WINDOW):
     multiplicative monoid, the two disjoint, and T u {0} additively spanning A.
     Spanning is only decided for finite carriers; symbolic pairs carry it as
     construction metadata."""
+    c = p.carrier
     report = AxiomReport(subject=p.name)
-    if not p.finite:
+    if not c.finite:
         report.window = window
     a0 = p.a0_elements(window)
     tang = p.tangible_elements(window)
-    add, mul = p.carrier.add, p.carrier.mul
+    add, mul = c.add, c.mul
     in_a0, is_tangible = p.in_a0, p.is_tangible
 
-    if not in_a0(p.zero):
-        report.record("a0-contains-zero", (p.zero,))
+    if not in_a0(c.zero):
+        report.record("a0-contains-zero", (c.zero,))
     for x, y in itertools.product(a0, repeat=2):
         report.checked += 1
         if not in_a0(add(x, y)):
@@ -175,8 +150,8 @@ def verify_admissible(p, window=DEFAULT_WINDOW):
         if not in_a0(mul(x, y)):
             report.record("a0-mul-closed", (x, y))
 
-    if not is_tangible(p.one):
-        report.record("tangibles-contain-one", (p.one,))
+    if not is_tangible(c.one):
+        report.record("tangibles-contain-one", (c.one,))
     for x, y in itertools.product(tang, repeat=2):
         report.checked += 1
         if not is_tangible(mul(x, y)):
@@ -186,8 +161,8 @@ def verify_admissible(p, window=DEFAULT_WINDOW):
         if in_a0(x) and is_tangible(x):
             report.record("a0-tangible-disjoint", (x,))
 
-    if p.finite:
-        reached = additive_closure(p.carrier.add, set(tang) | {p.zero})
+    if c.finite:
+        reached = additive_closure(add, set(tang) | {c.zero})
         for x in p.elements():
             if x not in reached:
                 report.record("tangible-spanning", (x,))
@@ -200,7 +175,7 @@ def is_shallow(p, window=DEFAULT_WINDOW):
     for x in p.elements(window):
         if not (p.is_tangible(x) or p.in_a0(x)):
             return Verdict(NO, witness=x)
-    return Verdict.held(p.finite, window)
+    return Verdict.held(p.carrier.finite, window)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +186,20 @@ def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW):
     """Check the surpassing axioms; with ``strong`` also the strengthened
     tangible-equality axiom. Shallow pairs are additionally held to the strong
     form, which is forced for them."""
+    finite, add, mul = p.carrier.finite, p.carrier.add, p.carrier.mul
     report = AxiomReport(subject="%s surpassing" % p.name)
-    if not p.finite:
+    if not finite:
         report.window = window
     elems = p.elements(window)
     tang = p.tangible_elements(window)
 
     for c in p.a0_elements(window):
-        if p.surpasses(p.zero, c, window) is False:
+        if p.surpasses(p.carrier.zero, c, window) is False:
             report.record("zero-below-quasi-zero", (c,))
 
     # reflexivity and transitivity of the partial preorder, on samples: the
     # relation is tabulated once on the sample, then scanned
-    limit = elems if p.finite else elems[: min(len(elems), 12)]
+    limit = elems if finite else elems[: min(len(elems), 12)]
     above = [[p.surpasses(b1, b2, window) for b2 in limit] for b1 in limit]
     for i, b in enumerate(limit):
         if above[i][i] is False:
@@ -238,11 +214,11 @@ def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW):
              for b2, v in zip(limit, row) if v is True]
     for b1, b2 in below:
         for c1, c2 in below:
-            if p.surpasses(p.add(b1, c1), p.add(b2, c2), window) is False:
+            if p.surpasses(add(b1, c1), add(b2, c2), window) is False:
                 report.record("additive", (b1, b2, c1, c2))
     for a in tang:
         for b1, b2 in below:
-            if p.surpasses(p.mul(a, b1), p.mul(a, b2), window) is False:
+            if p.surpasses(mul(a, b1), mul(a, b2), window) is False:
                 report.record("tangible-action", (a, b1, b2))
 
     # (iv) restriction to equality on tangibles
@@ -299,7 +275,7 @@ def property_n_status(p, window=DEFAULT_WINDOW):
         if not partners[a]:
             return PropertyNStatus(PN_NONE, partners)
     unique = all(len(v) == 1 for v in partners.values())
-    probe = tang if p.finite else tang[:20]
+    probe = tang if p.carrier.finite else tang[:20]
     in_probe = set(probe)
     separating = True
     for a in probe:
@@ -340,23 +316,24 @@ class NegationMap:
 
     def verify(self, window=DEFAULT_WINDOW):
         p = self.pair
+        c = p.carrier
         report = AxiomReport(subject="%s negation" % p.name)
         elems = p.elements(window)
         for b in elems:
             nb = self.fn(b)
             if self.fn(nb) != b:
                 report.record("involution", (b,))
-            if not p.in_a0(p.add(b, nb)):
+            if not p.in_a0(c.add(b, nb)):
                 report.record("quasi-zero-sum", (b,))
             if p.in_a0(b) != p.in_a0(nb):
                 report.record("a0-stable", (b,))
-        limit = elems if p.finite else elems[: min(len(elems), 15)]
+        limit = elems if c.finite else elems[: min(len(elems), 15)]
         for b, b2 in itertools.product(limit, repeat=2):
             report.checked += 1
-            if self.fn(p.add(b, b2)) != p.add(self.fn(b), self.fn(b2)):
+            if self.fn(c.add(b, b2)) != c.add(self.fn(b), self.fn(b2)):
                 report.record("additive", (b, b2))
-            lhs = self.fn(p.mul(b, b2))
-            if lhs != p.mul(self.fn(b), b2) or lhs != p.mul(b, self.fn(b2)):
+            lhs = self.fn(c.mul(b, b2))
+            if lhs != c.mul(self.fn(b), b2) or lhs != c.mul(b, self.fn(b2)):
                 report.record("multiplicative-slide", (b, b2))
         return report
 
@@ -369,7 +346,7 @@ def derive_negation(p, window=DEFAULT_WINDOW):
         raise PreconditionError("pair is not neg-compatible (status: %s)" % cls.status)
     partners = cls.partners
 
-    if not p.finite:
+    if not p.carrier.finite:
         if p.negation_hint is None:
             raise UnsupportedStructureError(
                 "symbolic pair without a negation hint; cannot extend additively"
@@ -380,7 +357,7 @@ def derive_negation(p, window=DEFAULT_WINDOW):
             raise PreconditionError("negation hint fails axioms: %s" % rep.violations[:3])
         return neg
 
-    mapping = {p.zero: p.zero}
+    mapping = {p.carrier.zero: p.carrier.zero}
     for a, (a2,) in ((a, tuple(v)) for a, v in partners.items()):
         mapping[a] = a2
     changed = True
@@ -388,8 +365,8 @@ def derive_negation(p, window=DEFAULT_WINDOW):
         changed = False
         known = list(mapping.items())
         for (x, nx), (y, ny) in itertools.product(known, repeat=2):
-            s = p.add(x, y)
-            ns = p.add(nx, ny)
+            s = p.carrier.add(x, y)
+            ns = p.carrier.add(nx, ny)
             if s in mapping:
                 if mapping[s] != ns:
                     raise PreconditionError(
@@ -416,7 +393,7 @@ def check_reversibility(p, a, window=DEFAULT_WINDOW):
     """Reversibility at a: b + a above zero forces b above a."""
     unknown = False
     for b in p.elements(window):
-        above_zero = p.surpasses(p.zero, p.add(b, a), window)
+        above_zero = p.surpasses(p.carrier.zero, p.carrier.add(b, a), window)
         if above_zero is True:
             dominates = p.surpasses(a, b, window)
             if dominates is False:
@@ -427,7 +404,7 @@ def check_reversibility(p, a, window=DEFAULT_WINDOW):
             unknown = True
     if unknown:
         return Verdict(UNKNOWN, bound=window)
-    return Verdict.held(p.finite, window)
+    return Verdict.held(p.carrier.finite, window)
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +416,21 @@ def compute_center(p, window=DEFAULT_WINDOW):
     cancellation hypothesis (w + y0 + y0' = w forces w + y0 = w) under which
     centrality transfers to the quotient constructions. A symbolic carrier
     is probed on the first 15 elements and quasi-zeros of its window."""
+    c = p.carrier
     elems = p.elements(window)
-    if not p.finite:
+    if not c.finite:
         elems = elems[:15]
     center = []
     for z in elems:
-        if all(p.surpasses(p.mul(y, z), p.mul(z, y), window) is True for y in elems):
+        if all(p.surpasses(c.mul(y, z), c.mul(z, y), window) is True for y in elems):
             center.append(z)
     hyp = True
     a0 = p.a0_elements(window)
-    if not p.finite:
+    if not c.finite:
         a0 = a0[:15]
     for w in elems:
         for y0, y0p in itertools.product(a0, repeat=2):
-            if p.add(p.add(w, y0), y0p) == w and p.add(w, y0) != w:
+            if c.add(c.add(w, y0), y0p) == w and c.add(w, y0) != w:
                 hyp = False
                 break
         if not hyp:
@@ -466,12 +444,13 @@ def compute_center(p, window=DEFAULT_WINDOW):
 
 def check_weakly_bipotent(p, window=DEFAULT_WINDOW):
     """Each pair of tangibles a, a' has a + a' in {a, a'} or a^2 = a'^2."""
+    c = p.carrier
     tang = p.tangible_elements(window)
     for a, a2 in itertools.product(tang, repeat=2):
-        s = p.add(a, a2)
-        if s not in (a, a2) and p.power(a, 2) != p.power(a2, 2):
+        s = c.add(a, a2)
+        if s not in (a, a2) and c.power(a, 2) != c.power(a2, 2):
             return Verdict(NO, witness=(a, a2))
-    return Verdict.held(p.finite, window)
+    return Verdict.held(c.finite, window)
 
 
 def iter_monomials(n_vars, degree_bound):
@@ -494,7 +473,7 @@ def check_nondegenerate(p, degree_bound=2, window=8):
     from .polynomials import Polynomial, poly_eval
 
     tang = p.tangible_elements(window)
-    coeffs = tang if p.finite else tang[:4]
+    coeffs = tang if p.carrier.finite else tang[:4]
     monos = iter_monomials(1, degree_bound)
     points = [(t,) for t in tang]
     shallow = is_shallow(p, window)
@@ -517,4 +496,4 @@ def check_nondegenerate(p, degree_bound=2, window=8):
                         witness=(terms, hit),
                         detail="shallow pair: value outside A0 is not tangible",
                     )
-    return Verdict.held(p.finite, window)
+    return Verdict.held(p.carrier.finite, window)

@@ -165,7 +165,7 @@ class PolynomialPair(SemiringPair):
                                          max(1, window * window)))
 
         carrier = SymbolicSemiring(
-            "poly(%s)" % getattr(pair.carrier, "name", "?"), operator.add,
+            "poly(%s)" % pair.carrier.name, operator.add,
             operator.mul, Polynomial(pair, 1, {}),
             Polynomial.constant(pair, 1, pair.carrier.one), sample)
         super().__init__(

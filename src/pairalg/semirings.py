@@ -52,6 +52,21 @@ class Labelled:
         except ValueError:
             raise StructureError("unknown element label %r" % (label,)) from None
 
+    def _check_table(self, which, table, rows, units):
+        """Refuse ``table`` unless it is n x n, each element its entries name
+        is in range, and so is each of ``units``. ``rows`` lists those
+        elements row by row (the table itself when each entry is one
+        element); it is read once the shape is checked."""
+        n = self.n
+        if len(table) != n or any(len(row) != n for row in table):
+            raise StructureError("%s table is not %dx%d" % (which, n, n))
+        for row in rows:
+            for v in row:
+                if not (0 <= v < n):
+                    raise StructureError("%s table entry %r out of range" % (which, v))
+        if not all(0 <= u < n for u in units):
+            raise StructureError("zero/one index out of range")
+
 
 class FiniteSemiring(Labelled, Carrier):
     """A finite carrier given by Cayley tables. Elements are indices into
@@ -61,16 +76,8 @@ class FiniteSemiring(Labelled, Carrier):
 
     def __init__(self, labels, add_table, mul_table, zero, one, name=""):
         super().__init__(labels)
-        n = self.n
-        for which, table in (("add", add_table), ("mul", mul_table)):
-            if len(table) != n or any(len(row) != n for row in table):
-                raise StructureError("%s table is not %dx%d" % (which, n, n))
-            for row in table:
-                for v in row:
-                    if not (0 <= v < n):
-                        raise StructureError("%s table entry %r out of range" % (which, v))
-        if not (0 <= zero < n and 0 <= one < n):
-            raise StructureError("zero/one index out of range")
+        self._check_table("add", add_table, add_table, ())
+        self._check_table("mul", mul_table, mul_table, (zero, one))
         self.add_table = [list(r) for r in add_table]
         self.mul_table = [list(r) for r in mul_table]
         self.zero = zero
@@ -166,7 +173,7 @@ def verify_semiring_axioms(s, window=DEFAULT_WINDOW):
     """Check the semiring axioms on ``s``: exhaustively over all triples for a
     finite carrier, over 2000 triples drawn with a fixed seed from the window
     for a symbolic one."""
-    report = AxiomReport(subject=getattr(s, "name", "semiring"))
+    report = AxiomReport(subject=s.name)
     if s.finite:
         elems = list(s.elements())
         triple_iter = itertools.product(elems, repeat=3)

@@ -38,17 +38,17 @@ def poly_eval(f, point):
 
 def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW, assert_shallow_strong=True):
     report = AxiomReport(subject="%s surpassing" % p.name)
-    if not p.finite:
+    if not p.carrier.finite:
         report.window = window
     elems = p.elements(window)
     tang = p.tangible_elements(window)
 
     for c in p.a0_elements(window):
-        if p.surpasses(p.zero, c, window) is False:
+        if p.surpasses(p.carrier.zero, c, window) is False:
             report.record("zero-below-quasi-zero", (c,))
 
     # reflexivity and transitivity of the partial preorder, on samples
-    limit = elems if p.finite else elems[: min(len(elems), 12)]
+    limit = elems if p.carrier.finite else elems[: min(len(elems), 12)]
     for b in limit:
         if p.surpasses(b, b, window) is False:
             report.record("reflexive", (b,))
@@ -64,12 +64,12 @@ def verify_surpassing(p, strong=False, window=DEFAULT_WINDOW, assert_shallow_str
     # additivity (ii) and T-action (iii)
     for b1, b2, c1, c2 in itertools.product(limit, repeat=4):
         if p.surpasses(b1, b2, window) is True and p.surpasses(c1, c2, window) is True:
-            if p.surpasses(p.add(b1, c1), p.add(b2, c2), window) is False:
+            if p.surpasses(p.carrier.add(b1, c1), p.carrier.add(b2, c2), window) is False:
                 report.record("additive", (b1, b2, c1, c2))
     for a in tang:
         for b1, b2 in itertools.product(limit, repeat=2):
             if p.surpasses(b1, b2, window) is True:
-                if p.surpasses(p.mul(a, b1), p.mul(a, b2), window) is False:
+                if p.surpasses(p.carrier.mul(a, b1), p.carrier.mul(a, b2), window) is False:
                     report.record("tangible-action", (a, b1, b2))
 
     # (iv) restriction to equality on tangibles
@@ -178,18 +178,18 @@ def property_n_status(p, window=DEFAULT_WINDOW):
     tang = p.tangible_elements(window)
     partners = {}
     for a in tang:
-        partners[a] = [a2 for a2 in tang if p.in_a0(p.add(a, a2))]
+        partners[a] = [a2 for a2 in tang if p.in_a0(p.carrier.add(a, a2))]
         if not partners[a]:
             return PropertyNStatus(PN_NONE, partners)
     unique = all(len(v) == 1 for v in partners.values())
-    probe = tang if p.finite else tang[:20]
+    probe = tang if p.carrier.finite else tang[:20]
     separating = True
     for a in probe:
         for c in probe:
             if c == a:
                 continue
             if not any(
-                p.is_tangible(p.add(c, a2)) and p.in_a0(p.add(a, a2)) for a2 in probe
+                p.is_tangible(p.carrier.add(c, a2)) and p.in_a0(p.carrier.add(a, a2)) for a2 in probe
             ):
                 separating = False
                 break
@@ -220,7 +220,7 @@ def is_semidomain(p, window=20):
                 continue
             if p.in_a0(c.mul(t, b)) or p.in_a0(c.mul(b, t)):
                 return Verdict(NO, witness=(t, b))
-    return Verdict(YES) if p.finite else Verdict(YES, bound=window, detail="windowed")
+    return Verdict(YES) if p.carrier.finite else Verdict(YES, bound=window, detail="windowed")
 
 
 # The polynomial pair's own relation and layers, and its carrier's sample,
@@ -293,7 +293,7 @@ def ore_witness(p, a1, a2, degree_bound=2, window=8):
                         return Verdict(YES, witness={"b1": b1, "b2": b2,
                                                      "g": dict(zip(gmonos, gco)),
                                                      "h": dict(zip(hmonos, hco))})
-    return Verdict(UNKNOWN if not p.finite else NO, bound=degree_bound,
+    return Verdict(UNKNOWN if not p.carrier.finite else NO, bound=degree_bound,
                    detail="no witness at degree bound")
 
 

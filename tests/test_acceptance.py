@@ -96,8 +96,8 @@ def test_criterion_2_twist_associativity():
         pts = list(itertools.product(elems, repeat=2))
         for x, y, z in itertools.product(pts, repeat=3):
             checked += 1
-            lhs = twist_product(p, twist_product(p, x, y), z)
-            rhs = twist_product(p, x, twist_product(p, y, z))
+            lhs = twist_product(p.carrier, twist_product(p.carrier, x, y), z)
+            rhs = twist_product(p.carrier, x, twist_product(p.carrier, y, z))
             if lhs != rhs:
                 ok = False
     report(2, ok, "twist product associative on %d exhaustive triples, "

@@ -26,8 +26,8 @@ from test_congruence_oracle import (fq_pair, max_min_pair,
 
 def test_twist_product_formula(bool_pair):
     # (a1,a1')*(a2,a2') = (a1a2 + a1'a2', a1a2' + a1'a2)
-    assert twist_product(bool_pair, (0, 1), (0, 1)) == (1, 0)
-    assert twist_product(bool_pair, (1, 0), (0, 1)) == (0, 1)
+    assert twist_product(bool_pair.carrier, (0, 1), (0, 1)) == (1, 0)
+    assert twist_product(bool_pair.carrier, (1, 0), (0, 1)) == (0, 1)
 
 
 def test_twist_associative_small_carriers(bool_pair, st3, double_bool):
@@ -37,8 +37,8 @@ def test_twist_associative_small_carriers(bool_pair, st3, double_bool):
             continue
         pts = list(itertools.product(elems, repeat=2))
         for x, y, z in itertools.product(pts, repeat=3):
-            a = twist_product(p, twist_product(p, x, y), z)
-            b = twist_product(p, x, twist_product(p, y, z))
+            a = twist_product(p.carrier, twist_product(p.carrier, x, y), z)
+            b = twist_product(p.carrier, x, twist_product(p.carrier, y, z))
             assert a == b
 
 

@@ -97,8 +97,8 @@ def test_boolean_matrices_at_swap_give_a_semiring():
     assert verify_semiring_axioms(fp.carrier).valid
     # every nonzero matrix is tangible; 0/s equals no t/s' with t tangible
     for s in S:
-        assert frac_is_tangible(fp.context.fraction(p.one, s)).status == YES
-        assert frac_is_tangible(fp.context.fraction(p.zero, s)).status == NO
+        assert frac_is_tangible(fp.context.fraction(p.carrier.one, s)).status == YES
+        assert frac_is_tangible(fp.context.fraction(p.carrier.zero, s)).status == NO
 
 
 def test_denominator_outside_the_list_matches_reference():

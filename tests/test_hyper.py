@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from pairalg import hyper
-from pairalg.errors import BoundExhausted, PreconditionError, Violation
-from pairalg.hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHyperring,
+from pairalg.errors import (BoundExhausted, PreconditionError, StructureError,
+                            Violation)
+from pairalg.hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHypergroup,
+                           SemiHyperring,
                            find_isomorphism, hyper_coset_quotient, krasner_hyperfield,
                            krasner_quotient, powerset_pair,
                            semiring_as_hyperring, verify_semihypergroup,
@@ -137,6 +139,24 @@ def test_semihyperring_distributivity_violations():
     found = {(v.axiom, v.witness) for v in verify_semihyperring(h).violations}
     assert ("left-distributive", (2, 2, 2)) in found
     assert ("right-distributive", (2, 2, 2)) in found
+
+
+def test_table_classes_refuse_the_same_input():
+    # one table check serves FiniteSemiring, SemiHypergroup and SemiHyperring:
+    # a zero or one that is no element, and an entry out of range, are
+    # refused alike, naming the entry
+    labels, hyperadd = ["0", "1"], [[{0}, {1}], [{1}, {0, 1}]]
+    add, mul = [[0, 1], [1, 1]], [[0, 0], [0, 1]]
+    for build in (lambda: SemiHypergroup(labels, hyperadd, zero=7),
+                  lambda: SemiHyperring(labels, hyperadd, mul, zero=0, one=5),
+                  lambda: FiniteSemiring(labels, add, mul, zero=0, one=5)):
+        with pytest.raises(StructureError, match="^zero/one index out of range$"):
+            build()
+    bad = [[0, 0], [0, 5]]
+    with pytest.raises(StructureError, match="^mul table entry 5 out of range$"):
+        SemiHyperring(labels, hyperadd, bad, zero=0, one=1)
+    with pytest.raises(StructureError, match="^mul table entry 5 out of range$"):
+        FiniteSemiring(labels, add, bad, zero=0, one=1)
 
 
 def test_semiring_as_hyperring_roundtrip(B):

@@ -61,3 +61,16 @@ def test_no_assert_statements(module):
     lines = [node.lineno for node in ast.walk(tree(module))
              if isinstance(node, ast.Assert)]
     assert not lines, ["%s:%d" % (module, n) for n in lines]
+
+
+def test_a_pair_forwards_none_of_its_carriers_arithmetic():
+    # a pair holds its carrier and its layers; arithmetic goes through
+    # p.carrier, the one carrier protocol
+    from pairalg.pairs import SemiringPair
+    from pairalg.polynomials import PolynomialPair
+    from pairalg.semirings import boolean_semiring
+
+    p = SemiringPair(boolean_semiring(), [0], [1])
+    for pair in (p, PolynomialPair(p)):
+        assert not [name for name in ("finite", "zero", "one", "add", "mul",
+                                      "power", "label") if hasattr(pair, name)]
