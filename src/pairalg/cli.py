@@ -23,7 +23,8 @@ from .fractions import OreFailure, build_fraction_pair
 from .hyper import (A0_CONTAINS_ZERO, A0_SIZE_GE_TWO, SemiHyperring,
                     krasner_quotient, powerset_pair, verify_semihypergroup,
                     verify_semihyperring)
-from .pairs import SemiringPair, is_shallow, property_n_status, verify_admissible
+from .pairs import (DEFAULT_WINDOW, SemiringPair, is_shallow, property_n_status,
+                    verify_admissible)
 from .polynomials import find_preceq_roots, parse_poly
 from .semirings import (boolean_semiring, double, nmax_trunc, nat_plus_times,
                         supertropical_extension, supertropical_integers,
@@ -35,8 +36,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
-
-DEFAULT_WINDOW = 20
 
 
 def builtin_structures(name):

@@ -6,6 +6,7 @@ import itertools
 
 from .errors import (AxiomReport, BoundExhausted, NO, PreconditionError, UNKNOWN,
                      Verdict, YES)
+from .pairs import DEFAULT_WINDOW
 from .polynomials import Polynomial, PolynomialPair, poly_eval
 
 
@@ -21,7 +22,7 @@ class ExtensionPair:
     def embed(self, a):
         return Polynomial.constant(self.base, 1, a)
 
-    def verify(self, window=20):
+    def verify(self, window=DEFAULT_WINDOW):
         report = AxiomReport(subject="extension", window=window)
         eb, ee = self.base.carrier, self.ext.carrier
         base = self.base.elements(window)
@@ -68,7 +69,7 @@ class ExtensionPair:
         return total
 
 
-def is_integral(ext, y, degree_bound=3, window=20):
+def is_integral(ext, y, degree_bound=3, window=DEFAULT_WINDOW):
     """Search for a0..a_{n-1} in the base with sum a_i y^i below y^n in the
     surpassing order; minimal n, lexicographically first witness."""
     p = ext.ext
@@ -90,7 +91,7 @@ def is_integral(ext, y, degree_bound=3, window=20):
     return Verdict(UNKNOWN, bound=degree_bound, detail="windowed coefficient scan")
 
 
-def is_algebraic(ext, y, degree_bound=3, window=20):
+def is_algebraic(ext, y, degree_bound=3, window=DEFAULT_WINDOW):
     """Search for coefficients with nonzero leading term putting
     sum a_i y^i into the quasi-zeros of the extension. Degree-0 relations
     are excluded: a lone quasi-zero constant says nothing about y."""
@@ -109,7 +110,7 @@ def is_algebraic(ext, y, degree_bound=3, window=20):
     return Verdict(UNKNOWN, bound=degree_bound, detail="windowed coefficient scan")
 
 
-def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=20):
+def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=DEFAULT_WINDOW):
     """If s = sum b_i y^i is tangible and the base pair is shallow, a
     representation with coefficients in T plus 0 must exist; searched and
     returned."""
@@ -130,7 +131,7 @@ def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=20):
 MAX_CA_CHECKS = 30000000
 
 
-def is_congruence_algebraic(ext, y, degree_bound=2, window=12):
+def is_congruence_algebraic(ext, y, degree_bound=2, window=DEFAULT_WINDOW):
     """Transcendence test per the functional definition: y is congruence
     algebraic when some f1(y) dominating f2(y) fails to dominate at a base
     point. Returns the violating (f1, f2, b) as certificate, and UNKNOWN

@@ -6,10 +6,10 @@ import itertools
 
 from .errors import NO, PreconditionError, UNKNOWN, Verdict, YES
 from .semirings import SymbolicSemiring, tabulate
-from .pairs import SemiringPair
+from .pairs import DEFAULT_WINDOW, SemiringPair
 
 
-def check_regular(p, s, mode="left", window=30):
+def check_regular(p, s, mode="left", window=DEFAULT_WINDOW):
     """Cancellation of s: left mode cancels s on the right of products
     (b1 s = b2 s forces b1 = b2), right mode on the left, preceq_left
     relaxes equality to the surpassing order. An undecided surpassing
@@ -28,8 +28,8 @@ def check_regular(p, s, mode="left", window=30):
                 return Verdict(NO, witness=(b1, b2))
         elif mode == "preceq_left":
             for x, y in ((b1, b2), (b2, b1)):
-                lhs = p.surpasses(c.mul(x, s), c.mul(y, s))
-                rhs = p.surpasses(x, y) if lhs else True
+                lhs = p.surpasses(c.mul(x, s), c.mul(y, s), window)
+                rhs = p.surpasses(x, y, window) if lhs else True
                 if rhs is False:
                     return Verdict(NO, witness=(x, y))
                 unknown = unknown or lhs is None or rhs is None
@@ -45,7 +45,7 @@ def _is_central(p, S, sample):
     return all(c.mul(s, b) == c.mul(b, s) for s in S for b in sample)
 
 
-def check_ore(p, S, window=30, s_member=None):
+def check_ore(p, S, window=DEFAULT_WINDOW, s_member=None):
     """Left Ore condition for S: common multiples s'b = b's exist, and
     right cancellation by s is witnessed by a left s'. Central S (in
     particular any commutative carrier) passes outright. For symbolic
@@ -60,6 +60,7 @@ def check_ore(p, S, window=30, s_member=None):
         if not member(c.mul(s1, s2)):
             raise PreconditionError("S not multiplicatively closed at %r" % ((s1, s2),))
     sample = list(c.sample(window))
+    missed, bound = (NO, None) if c.finite else (UNKNOWN, window)
     central = _is_central(p, S, sample)
     # on a central S right cancellation repeats the left mode's products
     modes = ("left",) if central else ("left", "right")
@@ -69,19 +70,17 @@ def check_ore(p, S, window=30, s_member=None):
             if not v:
                 return Verdict(NO, witness=("not regular", s, v.witness))
     if central:
-        return Verdict(YES, bound=None if c.finite else window, detail="central")
+        return Verdict(YES, bound=bound, detail="central")
     for b in sample:
         for s in S:
             if not any(c.mul(sp, b) == c.mul(bp, s)
                        for sp in S for bp in sample):
-                verdict = NO if c.finite else UNKNOWN
-                return Verdict(verdict, witness=("no common multiple", b, s))
+                return Verdict(missed, ("no common multiple", b, s), bound)
     for b1, b2 in itertools.product(sample, repeat=2):
         for s in S:
             if c.mul(b1, s) == c.mul(b2, s):
                 if not any(c.mul(sp, b1) == c.mul(sp, b2) for sp in S):
-                    verdict = NO if c.finite else UNKNOWN
-                    return Verdict(verdict, witness=("no left witness", b1, b2, s))
+                    return Verdict(missed, ("no left witness", b1, b2, s), bound)
     return Verdict.held(c.finite, window)
 
 
@@ -98,7 +97,7 @@ class LocalizationContext:
     For symbolic carriers S is given by an explicit sample list (kept
     multiplicatively closed by the caller) and membership predicate."""
 
-    def __init__(self, pair, s_elements, s_member=None, window=30):
+    def __init__(self, pair, s_elements, s_member=None, window=DEFAULT_WINDOW):
         self.pair = pair
         self.s_elements = list(s_elements)
         if not self.s_elements:
@@ -264,7 +263,7 @@ def _fraction_classes(ctx):
     return classes, cls_of
 
 
-def build_fraction_pair(p, S, window=30, s_member=None):
+def build_fraction_pair(p, S, window=DEFAULT_WINDOW, s_member=None):
     """Localized pair. On a finite carrier the equivalence classes are
     materialized into a table semiring and a SemiringPair is returned; on a
     symbolic carrier the LocalizationContext itself carries the arithmetic

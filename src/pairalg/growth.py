@@ -9,7 +9,7 @@ from statistics import linear_regression
 
 from .errors import (AxiomReport, BoundExhausted, NO, PreconditionError, UNKNOWN,
                      Verdict, YES)
-from .pairs import additive_closure
+from .pairs import DEFAULT_WINDOW, additive_closure
 
 
 class ModulePair:
@@ -335,7 +335,7 @@ def gk_dimension(profile):
 # Semidomain and the common-multiple witness
 
 
-def is_semidomain(p, window=20):
+def is_semidomain(p, window=DEFAULT_WINDOW):
     """Every tangible regular over A0: t b or b t in the quasi-zeros forces
     b there already."""
     mul, in_a0 = p.carrier.mul, p.in_a0
@@ -347,7 +347,7 @@ def is_semidomain(p, window=20):
     return Verdict.held(p.carrier.finite, window)
 
 
-def ore_witness(p, a1, a2, degree_bound=2, window=8):
+def ore_witness(p, a1, a2, degree_bound=2, window=DEFAULT_WINDOW):
     """Searches tangible-coefficient g, h with g(a1,a2) a1 + h(a1,a2) a2 in
     A0 while g(a1,a2) and h(a1,a2) stay outside; returns b1, b2. A pair that
     is not a semidomain raises PreconditionError. The coefficient tuples of

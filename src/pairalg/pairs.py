@@ -14,7 +14,7 @@ from .errors import (
     Verdict,
 )
 
-DEFAULT_WINDOW = 50
+DEFAULT_WINDOW = 20
 
 
 class SemiringPair:
@@ -344,7 +344,6 @@ def derive_negation(p, window=DEFAULT_WINDOW):
     cls = property_n_status(p, window)
     if not cls.neg_compatible:
         raise PreconditionError("pair is not neg-compatible (status: %s)" % cls.status)
-    partners = cls.partners
 
     if not p.carrier.finite:
         if p.negation_hint is None:
@@ -357,24 +356,16 @@ def derive_negation(p, window=DEFAULT_WINDOW):
             raise PreconditionError("negation hint fails axioms: %s" % rep.violations[:3])
         return neg
 
-    mapping = {p.carrier.zero: p.carrier.zero}
-    for a, (a2,) in ((a, tuple(v)) for a, v in partners.items()):
-        mapping[a] = a2
-    changed = True
-    while changed:
-        changed = False
-        known = list(mapping.items())
-        for (x, nx), (y, ny) in itertools.product(known, repeat=2):
-            s = p.carrier.add(x, y)
-            ns = p.carrier.add(nx, ny)
-            if s in mapping:
-                if mapping[s] != ns:
-                    raise PreconditionError(
-                        "inconsistent additive extension at %r: %r vs %r" % (s, mapping[s], ns)
-                    )
-            else:
-                mapping[s] = ns
-                changed = True
+    # the map's graph, closed under componentwise addition, must be a function
+    add, zero = p.carrier.add, p.carrier.zero
+    graph = additive_closure(
+        lambda u, v: (add(u[0], v[0]), add(u[1], v[1])),
+        [(zero, zero)] + [(a, a2) for a, (a2,) in cls.partners.items()])
+    mapping = {}
+    for x, nx in sorted(graph, key=lambda e: (repr(e[0]), repr(e[1]))):
+        if mapping.setdefault(x, nx) != nx:
+            raise PreconditionError(
+                "inconsistent additive extension at %r: %r vs %r" % (x, mapping[x], nx))
     missing = [x for x in p.elements() if x not in mapping]
     if missing:
         raise PreconditionError("negation extension does not reach %r" % missing[:3])
@@ -463,13 +454,14 @@ def iter_monomials(n_vars, degree_bound):
     return out
 
 
-def check_nondegenerate(p, degree_bound=2, window=8):
+def check_nondegenerate(p, degree_bound=2, window=DEFAULT_WINDOW):
     """Every tangible one-variable polynomial within the bounds takes a value
     outside A0 at some tangible point; on a symbolic carrier the
     coefficients are the first 4 tangibles of the window. Returns NO with a
-    degenerate polynomial witness otherwise. For shallow pairs a
-    nondegenerate verdict simultaneously certifies that tangible polynomials
-    attain a tangible value."""
+    degenerate polynomial witness otherwise, and on a symbolic carrier, where
+    it may leave A0 past the window, UNKNOWN with the first one. For shallow
+    pairs a nondegenerate verdict simultaneously certifies that tangible
+    polynomials attain a tangible value."""
     from .polynomials import Polynomial, poly_eval
 
     tang = p.tangible_elements(window)
@@ -477,6 +469,7 @@ def check_nondegenerate(p, degree_bound=2, window=8):
     monos = iter_monomials(1, degree_bound)
     points = [(t,) for t in tang]
     shallow = is_shallow(p, window)
+    suspect = None
     for r in range(1, len(monos) + 1):
         for support in itertools.combinations(monos, r):
             for cs in itertools.product(coeffs, repeat=r):
@@ -489,11 +482,15 @@ def check_nondegenerate(p, degree_bound=2, window=8):
                         hit = (pt, v)
                         break
                 if hit is None:
-                    return Verdict(NO, witness=terms, bound=window)
-                if shallow and not p.is_tangible(hit[1]):
+                    if p.carrier.finite:
+                        return Verdict(NO, witness=terms)
+                    suspect = suspect or terms
+                elif shallow and not p.is_tangible(hit[1]):
                     return Verdict(
                         NO,
                         witness=(terms, hit),
                         detail="shallow pair: value outside A0 is not tangible",
                     )
+    if suspect:
+        return Verdict(UNKNOWN, suspect, window, "in A0 at every tangible of the window")
     return Verdict.held(p.carrier.finite, window)

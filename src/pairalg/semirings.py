@@ -118,7 +118,7 @@ class SymbolicSemiring(Carrier):
     def mul(self, x, y):
         return self.mul_fn(x, y)
 
-    def sample(self, window=DEFAULT_WINDOW):
+    def sample(self, window):
         return self.sample_fn(window)
 
     def label(self, x):
@@ -146,7 +146,7 @@ def tabulate(carrier, elements):
 def _tabulated_pair(p):
     """A symbolic pair whose carrier closes on its sample, as a table pair.
     The sample of such a carrier is all of it, whatever the window."""
-    elements = p.carrier.sample()
+    elements = p.carrier.sample(DEFAULT_WINDOW)
     table, pos = tabulate(p.carrier, elements)
     a0 = frozenset(pos[e] for e in elements if p.in_a0(e))
     tang = frozenset(pos[e] for e in elements if p.is_tangible(e))

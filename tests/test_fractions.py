@@ -12,8 +12,8 @@ from pairalg.fractions import (LocalizationContext, build_fraction_pair,
                                frac_add, frac_equiv, frac_in_a0,
                                frac_is_tangible, frac_mul)
 from pairalg.pairs import SemiringPair
-from pairalg.semirings import (FiniteSemiring, double, nat_plus_times,
-                               supertropical_integers)
+from pairalg.semirings import (FiniteSemiring, SymbolicSemiring, double,
+                               nat_plus_times, supertropical_integers)
 
 
 def dyadic_context(window=30):
@@ -168,3 +168,27 @@ def test_ore_runs_right_cancellation_only_off_the_center(monkeypatch):
     v = check_ore(p, S)
     assert v.detail != "central"
     assert modes == ["left", "right"] * 2
+
+
+def test_ore_unknown_names_its_window():
+    # 2x2 matrices over N, sampled with entries up to the window: within
+    # window 1, (0 0; 1 0) has no common multiple with diag(2, 1), which a
+    # wider window may still supply, so the unknown says where it looked
+    def mul(x, y):
+        return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2))
+                           for j in range(2)) for i in range(2))
+
+    def add(x, y):
+        return tuple(tuple(a + b for a, b in zip(r, q)) for r, q in zip(x, y))
+
+    zero, one, d = ((0, 0), (0, 0)), ((1, 0), (0, 1)), ((2, 0), (0, 1))
+    m2 = SymbolicSemiring(
+        "M2(N)", add, mul, zero, one,
+        sample_fn=lambda w: [((a, b), (c, e)) for a, b, c, e
+                             in itertools.product(range(w + 1), repeat=4)])
+    p = SemiringPair(m2, [zero], lambda x: x != zero)
+    powers_of_d = lambda x: (x[0][1] == x[1][0] == 0 and x[1][1] == 1
+                             and x[0][0] > 0 and x[0][0] & (x[0][0] - 1) == 0)
+    v = check_ore(p, [one, d], window=1, s_member=powers_of_d)
+    assert v == Verdict(UNKNOWN, ("no common multiple", ((0, 0), (1, 0)), d),
+                        bound=1)

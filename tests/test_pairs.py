@@ -1,14 +1,15 @@
 import pytest
 
 from pairalg.cli import builtin_structures
-from pairalg.errors import NO, YES, Verdict
+from pairalg.errors import NO, UNKNOWN, YES, Verdict
 from pairalg.pairs import (SemiringPair, check_nondegenerate,
                            check_reversibility, check_weakly_bipotent,
                            compute_center, derive_negation, is_shallow,
                            property_n_status, verify_admissible,
                            verify_surpassing)
 from pairalg.polynomials import PolynomialPair
-from pairalg.semirings import double, nat_plus_times, nmax_trunc
+from pairalg.semirings import (double, nat_plus_times, nmax_trunc,
+                               supertropical_naturals)
 
 
 def test_boolean_pair_admissible(bool_pair):
@@ -142,6 +143,19 @@ def test_supertropical3_degenerate(st3):
     v = check_nondegenerate(st3)
     assert v.status == NO
     assert v.witness == [((0,), one), ((1,), one)]
+
+
+def test_nondegenerate_no_is_exact(st3):
+    # a polynomial in A0 at every tangible of a symbolic window may leave A0
+    # at a wider one: over the supertropical naturals, windows 0 and 1 find
+    # one such, window 2 none; a finite carrier's no is exact and unbounded
+    p = supertropical_naturals()
+    found = [check_nondegenerate(p, window=w) for w in range(3)]
+    assert [(v.status, v.bound) for v in found] == [
+        (UNKNOWN, 0), (UNKNOWN, 1), (YES, 2)]
+    assert found[0].witness == [((0,), ("t", 0)), ((1,), ("t", 0))]
+    one = st3.carrier.index("1")
+    assert check_nondegenerate(st3) == Verdict(NO, [((0,), one), ((1,), one)])
 
 
 def test_center_of_commutative_pair(bool_pair, st3, double_bool):

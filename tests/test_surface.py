@@ -13,7 +13,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "pairalg")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 # defaulted parameters over every def in src/pairalg
-SETTABLE_PARAMETERS = 68
+SETTABLE_PARAMETERS = 67
 
 
 def tree(module):
@@ -74,3 +74,31 @@ def test_a_pair_forwards_none_of_its_carriers_arithmetic():
     for pair in (p, PolynomialPair(p)):
         assert not [name for name in ("finite", "zero", "one", "add", "mul",
                                       "power", "label") if hasattr(pair, name)]
+
+
+def test_one_window_default():
+    # the library and the CLI sample a symbolic carrier alike unless told
+    # otherwise: every defaulted window outside the CLI, whose window=False
+    # is an argparse switch, is the one name pairs.py assigns
+    from pairalg.cli import build_parser
+    from pairalg.pairs import DEFAULT_WINDOW
+
+    constants, literal = [], []
+    for module in MODULES:
+        for node in ast.walk(tree(module)):
+            if isinstance(node, ast.Assign):
+                constants += [(module, t.id) for t in node.targets
+                              if "WINDOW" in getattr(t, "id", "")]
+            if module == "cli.py" or not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            named = args.posonlyargs + args.args
+            defaulted = list(zip(named[len(named) - len(args.defaults):], args.defaults))
+            defaulted += zip(args.kwonlyargs, args.kw_defaults)
+            literal += ["%s:%d" % (module, node.lineno) for arg, default in defaulted
+                        if arg.arg == "window" and default is not None
+                        and getattr(default, "id", None) != "DEFAULT_WINDOW"]
+    assert constants == [("pairs.py", "DEFAULT_WINDOW")]
+    assert not literal
+    assert DEFAULT_WINDOW == 20
+    assert build_parser().parse_args(["verify", "boolean"]).window == DEFAULT_WINDOW
