@@ -375,7 +375,7 @@ def cmd_ore_witness(args, p):
     v = growth_mod.ore_witness(p, a1, a2, degree_bound=args.degree,
                                window=args.window)
     summary = ("witness b1=%r b2=%r" % (v.witness["b1"], v.witness["b2"])
-               if v.status == YES else "no witness at degree bound")
+               if v.status == YES else v.detail)
     return emit(args, {"a1": args.a1, "a2": args.a2, "result": v},
                 summary, verdict_code(v))
 

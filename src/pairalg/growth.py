@@ -347,13 +347,20 @@ def is_semidomain(p, window=DEFAULT_WINDOW):
     return Verdict.held(p.carrier.finite, window)
 
 
+# Work cap of the common-multiple search: each degree's coefficient tuples,
+# (1 + tangibles) ** monomials of them, are charged before that degree is
+# scanned, and once the charges pass MAX_ORE_TUPLES the answer is UNKNOWN.
+MAX_ORE_TUPLES = 200000
+
+
 def ore_witness(p, a1, a2, degree_bound=2, window=DEFAULT_WINDOW):
     """Searches tangible-coefficient g, h with g(a1,a2) a1 + h(a1,a2) a2 in
     A0 while g(a1,a2) and h(a1,a2) stay outside; returns b1, b2. A pair that
     is not a semidomain raises PreconditionError. The coefficient tuples of
     each degree are evaluated once, and only the first tuple of each value,
     in scan order, is searched: it is the one the full scan would reach
-    first."""
+    first. Past MAX_ORE_TUPLES tuples the answer is UNKNOWN with that
+    bound."""
     sd = is_semidomain(p, window)
     if sd.status == NO:
         raise PreconditionError("not a semidomain pair: %r" % (sd.witness,))
@@ -362,25 +369,38 @@ def ore_witness(p, a1, a2, degree_bound=2, window=DEFAULT_WINDOW):
     monos = [(i, j) for i in range(degree_bound + 1)
              for j in range(degree_bound + 1 - i)]
     by_degree = {}
+    tuples = 0
 
     def outside(deg):
-        # value -> first coefficients (as a dict) of the values outside A0
+        # value -> first coefficients (as a dict) of the values outside A0;
+        # None once the degree's tuples would pass the cap
+        nonlocal tuples
         if deg not in by_degree:
             dmonos = [m for m in monos if m[0] + m[1] <= deg]
+            tuples += len(pool) ** len(dmonos)
+            if tuples > MAX_ORE_TUPLES:
+                return None
             firsts = by_degree[deg] = {}
             for co in itertools.product(pool, repeat=len(dmonos)):
                 b = value_at(p, dmonos, co, a1, a2)
                 if b is not None and b not in firsts and not p.in_a0(b):
                     firsts[b] = dict(zip(dmonos, co))
-        return by_degree[deg].items()
+        return by_degree[deg]
 
     for total in range(0, 2 * degree_bound + 1):
         for gdeg in range(min(total, degree_bound) + 1):
             hdeg = total - gdeg
             if hdeg > degree_bound:
                 continue
-            for b1, g in outside(gdeg):
-                for b2, h in outside(hdeg):
+            firsts = outside(gdeg)
+            # the h-degree is scanned only once a g-value is there to pair
+            seconds = firsts and outside(hdeg)
+            if firsts is None or seconds is None:
+                return Verdict(UNKNOWN, bound=MAX_ORE_TUPLES,
+                               detail="work cap MAX_ORE_TUPLES=%d spent"
+                               % MAX_ORE_TUPLES)
+            for b1, g in firsts.items():
+                for b2, h in seconds.items():
                     if p.in_a0(c.add(c.mul(b1, a1), c.mul(b2, a2))):
                         return Verdict(YES, witness={"b1": b1, "b2": b2,
                                                      "g": g, "h": h})

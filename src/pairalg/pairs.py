@@ -468,7 +468,10 @@ def check_nondegenerate(p, degree_bound=2, window=DEFAULT_WINDOW):
     coeffs = tang if p.carrier.finite else tang[:4]
     monos = iter_monomials(1, degree_bound)
     points = [(t,) for t in tang]
+    # a windowed yes leaves elements past the window unseen, so only an
+    # exact one turns a value that is neither tangible nor in A0 into a no
     shallow = is_shallow(p, window)
+    shallow = bool(shallow) and shallow.bound is None
     suspect = None
     for r in range(1, len(monos) + 1):
         for support in itertools.combinations(monos, r):

@@ -97,6 +97,20 @@ class FiniteSemiring(Labelled, Carrier):
         return "FiniteSemiring(%s, n=%d)" % (self.name, self.n)
 
 
+class _Op(property):
+    """A carrier operation held in the instance field ``field``: ``c.add`` is
+    that function itself, read and set with no Python frame between, and
+    ``SymbolicSemiring.add(c, x, y)`` calls it, so a wrapper put on the class
+    still sees every call."""
+
+    def __init__(self, field):
+        super().__init__(operator.attrgetter(field),
+                         lambda c, fn: setattr(c, field, fn))
+
+    def __call__(self, c, x, y):
+        return self.fget(c)(x, y)
+
+
 @dataclass
 class SymbolicSemiring(Carrier):
     """An infinite carrier presented by rules. ``sample_fn(window)`` yields a
@@ -112,11 +126,8 @@ class SymbolicSemiring(Carrier):
     label_fn: object = repr
     finite: bool = field(default=False, init=False)
 
-    def add(self, x, y):
-        return self.add_fn(x, y)
-
-    def mul(self, x, y):
-        return self.mul_fn(x, y)
+    add = _Op("add_fn")
+    mul = _Op("mul_fn")
 
     def sample(self, window):
         return self.sample_fn(window)
@@ -309,8 +320,7 @@ def _st_add(gt):
             return y
         if y == ST_ZERO:
             return x
-        tx, vx = x
-        ty, vy = y
+        vx, vy = x[1], y[1]
         if vx == vy:
             return ("g", vx)
         return x if gt(vx, vy) else y
@@ -328,13 +338,13 @@ def _order(m):
 
 
 def _st_mul(m):
+    op = m.op
+
     def mul(x, y):
         if x == ST_ZERO or y == ST_ZERO:
             return ST_ZERO
-        tx, vx = x
-        ty, vy = y
-        tag = "t" if tx == ty == "t" else "g"
-        return (tag, m.op(vx, vy))
+        tag = "t" if x[0] == y[0] == "t" else "g"
+        return (tag, op(x[1], y[1]))
 
     return mul
 

@@ -4,7 +4,7 @@ import pytest
 
 import surpassing_reference as ref
 from pairalg import growth
-from pairalg.cli import builtin_structures
+from pairalg.cli import builtin_structures, main
 from pairalg.errors import BoundExhausted, PreconditionError
 from pairalg.growth import (ModulePair, base_check, build_model, commutative_model,
                             free_module_pair, free_words_model, gk_dimension,
@@ -180,6 +180,31 @@ def test_ore_witness_evaluates_each_tuple_once(monkeypatch):
         v = ore_witness(p, 2, 3, degree_bound=1, window=window)
         assert v.status == "unknown"
         assert len(calls) == count == (window + 1) + (window + 1) ** 3
+
+
+def test_ore_witness_work_cap(monkeypatch, capsys):
+    # nat-plus-times has no witness: at degree 1 and window 2 the search
+    # charges its 3 degree-0 and 27 degree-1 coefficient tuples
+    p = builtin_structures("nat-plus-times")["pair"]
+    monkeypatch.setattr(growth, "MAX_ORE_TUPLES", 30)
+    v = ore_witness(p, 2, 3, degree_bound=1, window=2)
+    assert (v.status, v.detail) == ("unknown", "no witness at degree bound")
+    for cap in (29, 2):
+        monkeypatch.setattr(growth, "MAX_ORE_TUPLES", cap)
+        v = ore_witness(p, 2, 3, degree_bound=1, window=2)
+        assert (v.status, v.bound) == ("unknown", cap)
+        assert v.detail == "work cap MAX_ORE_TUPLES=%d spent" % cap
+    # the supertropical integers have a constant witness among the 42
+    # degree-0 tuples of window 20
+    argv = ["ore-witness", "supertropical-integers", "--a1", "1", "--a2", "2"]
+    monkeypatch.setattr(growth, "MAX_ORE_TUPLES", 41)
+    assert main(argv) == 3
+    assert "work cap MAX_ORE_TUPLES=41 spent" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert main(argv) == 0
+    # at the default degree 2 and window 20, degree 2 alone is 21^6 tuples
+    v = ore_witness(p, 2, 3)
+    assert (v.status, v.bound) == ("unknown", growth.MAX_ORE_TUPLES)
 
 
 def test_rank_caps_raise_bound_exhausted(bool_pair, monkeypatch):

@@ -158,6 +158,19 @@ def test_nondegenerate_no_is_exact(st3):
     assert check_nondegenerate(st3) == Verdict(NO, [((0,), one), ((1,), one)])
 
 
+def test_nondegenerate_shallow_no_needs_an_exact_shallow_yes():
+    # is_shallow's yes on a symbolic window leaves elements past it unseen,
+    # so a value outside A0 that is not tangible refutes nothing: over
+    # double(nat) at window 1 such a value, (2, 1), shows the pair is not
+    # shallow at all, and the polynomial in A0 on the window stays unknown
+    p = double(nat_plus_times())
+    assert is_shallow(p, window=1) == Verdict(YES, bound=1, detail="windowed")
+    found = [check_nondegenerate(p, window=w) for w in range(3)]
+    assert [(v.status, v.bound) for v in found] == [
+        (YES, 0), (UNKNOWN, 1), (YES, 2)]
+    assert found[1].detail == "in A0 at every tangible of the window"
+
+
 def test_center_of_commutative_pair(bool_pair, st3, double_bool):
     for p in (bool_pair, st3, double_bool):
         center = compute_center(p)

@@ -102,3 +102,43 @@ def test_one_window_default():
     assert not literal
     assert DEFAULT_WINDOW == 20
     assert build_parser().parse_args(["verify", "boolean"]).window == DEFAULT_WINDOW
+
+
+def symbolic_carriers():
+    from pairalg.pairs import SemiringPair
+    from pairalg.polynomials import PolynomialPair
+    from pairalg.semirings import (boolean_semiring, double, nat_plus_times,
+                                   supertropical_integers, supertropical_naturals)
+
+    bool_pair = SemiringPair(boolean_semiring(), [0], [1])
+    return [nat_plus_times(), supertropical_naturals().carrier,
+            supertropical_integers().carrier, double(nat_plus_times()).carrier,
+            PolynomialPair(bool_pair).carrier]
+
+
+def test_symbolic_operations_are_the_carriers_own_functions():
+    # c.add is add_fn itself, with no frame between, and the class's own
+    # add still calls it, which is where a counting wrapper goes
+    from pairalg.semirings import SymbolicSemiring
+
+    for c in symbolic_carriers():
+        assert c.add is c.add_fn and c.mul is c.mul_fn, c.name
+        x, y = c.sample(2)[-2:]
+        assert SymbolicSemiring.add(c, x, y) == c.add_fn(x, y)
+        assert SymbolicSemiring.mul(c, x, y) == c.mul_fn(x, y)
+
+        def first(a, b):
+            return a
+
+        c.add = first
+        assert c.add_fn is first and "add" not in vars(c)
+
+
+def test_only_semirings_reads_the_operation_fields():
+    # every symbolic operation goes through c.add / c.mul, so a wrapper on
+    # SymbolicSemiring sees it; naming add_fn at construction is fine
+    reads = ["%s:%d" % (module, node.lineno) for module in MODULES
+             if module != "semirings.py" for node in ast.walk(tree(module))
+             if (isinstance(node, ast.Attribute) and node.attr in ("add_fn", "mul_fn"))
+             or (isinstance(node, ast.Constant) and node.value in ("add_fn", "mul_fn"))]
+    assert not reads

@@ -35,3 +35,19 @@ def test_tracer_installs_counts_and_uninstalls(capsys):
     assert tracer.calls["congruences.twist_product"] > 0
     assert semirings.FiniteSemiring.__dict__["add"] is add
     assert congruences.twist_product is twist
+
+
+def test_tracer_counts_every_symbolic_operation():
+    # a symbolic carrier's add and mul are its own functions, and the
+    # tracer's class-level wrapper still counts each call: 6 per sample
+    # element (11 at window 2) and 14 per triple (2,000)
+    add = semirings.SymbolicSemiring.__dict__["add"]
+    tracer = load_tracing().Tracer()
+    tracer.install(hot=True)
+    try:
+        semirings.verify_semiring_axioms(
+            semirings.supertropical_integers().carrier, window=2)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["semirings.ops"] == 6 * 11 + 14 * 2000 == 28066
+    assert semirings.SymbolicSemiring.__dict__["add"] is add
