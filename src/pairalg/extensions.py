@@ -69,6 +69,31 @@ class ExtensionPair:
         return total
 
 
+# Work cap of each coefficient scan (is_integral, is_algebraic,
+# tangible_coefficient_representation): the c ** k coefficient tuples of
+# each length k, c the pool's size, are charged before that length is
+# scanned, and once the charges pass MAX_COEFF_TUPLES the answer is UNKNOWN.
+MAX_COEFF_TUPLES = 200000
+
+
+def _coefficient_tuples(pool, lengths):
+    """The tuples over ``pool`` of each length in ``lengths``, in scan order,
+    each length charged before it is scanned; None once the charges pass
+    MAX_COEFF_TUPLES."""
+    charged = 0
+    for k in lengths:
+        charged += len(pool) ** k
+        if charged > MAX_COEFF_TUPLES:
+            yield None
+            return
+        yield from itertools.product(pool, repeat=k)
+
+
+def _spent():
+    return Verdict(UNKNOWN, bound=MAX_COEFF_TUPLES,
+                   detail="work cap MAX_COEFF_TUPLES=%d spent" % MAX_COEFF_TUPLES)
+
+
 def is_integral(ext, y, degree_bound=3, window=DEFAULT_WINDOW):
     """Search for a0..a_{n-1} in the base with sum a_i y^i below y^n in the
     surpassing order; minimal n, lexicographically first witness."""
@@ -77,15 +102,15 @@ def is_integral(ext, y, degree_bound=3, window=DEFAULT_WINDOW):
     complete = ext.base.carrier.finite
     unknown = False
     powers = ext.powers(y, degree_bound)
-    for n in range(1, degree_bound + 1):
-        target = powers[n]
-        for coeffs in itertools.product(base, repeat=n):
-            val = ext.eval_poly(coeffs, powers)
-            v = p.surpasses(val, target)
-            if v:
-                return Verdict(YES, witness={"degree": n, "coeffs": coeffs})
-            if v is None:
-                unknown = True
+    for coeffs in _coefficient_tuples(base, range(1, degree_bound + 1)):
+        if coeffs is None:
+            return _spent()
+        n = len(coeffs)
+        v = p.surpasses(ext.eval_poly(coeffs, powers), powers[n])
+        if v:
+            return Verdict(YES, witness={"degree": n, "coeffs": coeffs})
+        if v is None:
+            unknown = True
     if complete and not unknown:
         return Verdict(NO, bound=degree_bound)
     return Verdict(UNKNOWN, bound=degree_bound, detail="windowed coefficient scan")
@@ -99,12 +124,14 @@ def is_algebraic(ext, y, degree_bound=3, window=DEFAULT_WINDOW):
     base = ext.base.elements(window)
     zero = ext.base.carrier.zero
     powers = ext.powers(y, degree_bound)
-    for n in range(1, degree_bound + 1):
-        for coeffs in itertools.product(base, repeat=n + 1):
-            if coeffs[-1] == zero:
-                continue
-            if p.in_a0(ext.eval_poly(coeffs, powers)):
-                return Verdict(YES, witness={"degree": n, "coeffs": coeffs})
+    for coeffs in _coefficient_tuples(base, range(2, degree_bound + 2)):
+        if coeffs is None:
+            return _spent()
+        if coeffs[-1] == zero:
+            continue
+        if p.in_a0(ext.eval_poly(coeffs, powers)):
+            return Verdict(YES, witness={"degree": len(coeffs) - 1,
+                                         "coeffs": coeffs})
     if ext.base.carrier.finite:
         return Verdict(NO, bound=degree_bound)
     return Verdict(UNKNOWN, bound=degree_bound, detail="windowed coefficient scan")
@@ -114,13 +141,14 @@ def tangible_coefficient_representation(ext, y, s, degree_bound=3, window=DEFAUL
     """If s = sum b_i y^i is tangible and the base pair is shallow, a
     representation with coefficients in T plus 0 must exist; searched and
     returned."""
-    p = ext.ext
     coeff_pool = [ext.base.carrier.zero] + ext.base.tangible_elements(window)
     powers = ext.powers(y, degree_bound)
-    for n in range(0, degree_bound + 1):
-        for coeffs in itertools.product(coeff_pool, repeat=n + 1):
-            if ext.eval_poly(coeffs, powers) == s:
-                return Verdict(YES, witness={"degree": n, "coeffs": coeffs})
+    for coeffs in _coefficient_tuples(coeff_pool, range(1, degree_bound + 2)):
+        if coeffs is None:
+            return _spent()
+        if ext.eval_poly(coeffs, powers) == s:
+            return Verdict(YES, witness={"degree": len(coeffs) - 1,
+                                         "coeffs": coeffs})
     return Verdict(NO if ext.base.carrier.finite else UNKNOWN, bound=degree_bound)
 
 

@@ -9,7 +9,7 @@ from statistics import linear_regression
 
 from .errors import (AxiomReport, BoundExhausted, NO, PreconditionError, UNKNOWN,
                      Verdict, YES)
-from .pairs import DEFAULT_WINDOW, additive_closure
+from .pairs import DEFAULT_WINDOW, additive_closure, unspanned
 
 
 class ModulePair:
@@ -73,10 +73,8 @@ def verify_module_pair(mp, admissible=False):
             if mp.smul(a, v) not in mp.n_image:
                 report.record("a0-action-inside-image", (a, v))
     if admissible:
-        reach = additive_closure(add, {mp.zero} | mp.tangibles)
-        for v in elems:
-            if v not in reach:
-                report.record("tangible-spanning", (v,))
+        for v in unspanned(add, {mp.zero} | mp.tangibles, elems):
+            report.record("tangible-spanning", (v,))
         for v in mp.tangibles:
             if v in mp.n_image:
                 report.record("tangible-image-disjoint", (v,))

@@ -8,6 +8,7 @@ over the base elements a and ORs the columns of one operand over the members
 of the other. A Krasner quotient reads its coset sums from the semiring's own
 addition table, with each entry as a one-bit mask."""
 
+import functools
 import itertools
 import operator
 
@@ -169,7 +170,13 @@ class PowersetCarrier(Carrier):
     x [+] y is the union of y's plus-column over the members of x, a product
     the same over y's times-column, and the union's mask finds the one
     frozenset of that subset. A subset made elsewhere gets its columns on
-    first use."""
+    first use.
+
+    The elements are closed one singleton at a time: each subset x reached
+    gets {a} [+] x for each base element a, n sums per element, and no two
+    larger subsets are added. That reaches every sum of singletons because
+    the base's [+] is commutative and associative, which ``powerset_pair``
+    checks before it builds the carrier."""
 
     finite = True
 
@@ -180,7 +187,8 @@ class PowersetCarrier(Carrier):
         self.sets, self.plus, self.times = {}, {}, {}
         singletons = [self._subset(1 << a) for a in h.elements()]
         self.zero, self.one = singletons[h.zero], singletons[h.one]
-        self.elems = sorted(additive_closure(self.add, singletons),
+        acts = [functools.partial(self.add, s) for s in singletons]
+        self.elems = sorted(additive_closure(None, singletons, acts),
                             key=lambda s: (len(s), sorted(s)))
 
     def _subset(self, m):

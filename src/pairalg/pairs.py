@@ -127,6 +127,23 @@ def additive_closure(add, seeds, acts=()):
     return reached
 
 
+def unspanned(add, seeds, elements):
+    """The members of ``elements``, in order, that sums of ``seeds`` miss.
+    The seeds are first closed under x -> add(x, t) for each seed t, with
+    the seed on the right. ``additive_closure(add, seeds)`` forms each of
+    those sums too, so it reaches a superset; it runs only when the first
+    pass misses an element, and decides which ones. So the answer is the
+    pairwise closure's for any ``add``, commutative or not."""
+    seeds = list(seeds)
+    reached = additive_closure(None, seeds,
+                               [lambda x, t=t: add(x, t) for t in seeds])
+    missed = [x for x in elements if x not in reached]
+    if missed:
+        reached = additive_closure(add, seeds)
+        missed = [x for x in missed if x not in reached]
+    return missed
+
+
 def verify_admissible(p, window=DEFAULT_WINDOW):
     """Check that (A, A0, T) is an admissible pair: A0 a sub-semiring, T a
     multiplicative monoid, the two disjoint, and T u {0} additively spanning A.
@@ -162,10 +179,8 @@ def verify_admissible(p, window=DEFAULT_WINDOW):
             report.record("a0-tangible-disjoint", (x,))
 
     if c.finite:
-        reached = additive_closure(add, set(tang) | {c.zero})
-        for x in p.elements():
-            if x not in reached:
-                report.record("tangible-spanning", (x,))
+        for x in unspanned(add, set(tang) | {c.zero}, p.elements()):
+            report.record("tangible-spanning", (x,))
     return report
 
 

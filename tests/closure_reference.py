@@ -2,7 +2,12 @@
 kept as a reference: the snapshot rounds of ``ModulePair.span``, which
 apply every scalar and form every ordered pair of the set each round, and
 ``prime_spectrum_krull`` with its own worklist of meets. The bodies are the
-library's before the change."""
+library's before the change.
+
+Also the tangible-spanning checks of ``verify_admissible`` and of
+``verify_module_pair(admissible=True)`` as they were before
+``pairs.unspanned``: every element the pairwise closure of T u {0} misses,
+in element order, with that closure copied here as it was."""
 
 import itertools
 
@@ -55,3 +60,27 @@ def prime_spectrum_krull(p):
         "krull_dimension": dim,
         "semiprime_count": len(semiprimes),
     }
+
+
+def pairwise_closure(add, seeds):
+    reached = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        x = frontier.pop()
+        for y in list(reached):
+            s = add(x, y)
+            if s not in reached:
+                reached.add(s)
+                frontier.append(s)
+    return reached
+
+
+def admissible_unspanned(p):
+    c = p.carrier
+    reached = pairwise_closure(c.add, set(p.tangible_elements()) | {c.zero})
+    return [x for x in p.elements() if x not in reached]
+
+
+def module_unspanned(mp):
+    reach = pairwise_closure(mp.add, {mp.zero} | mp.tangibles)
+    return [v for v in mp.elements if v not in reach]

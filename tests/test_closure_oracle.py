@@ -3,7 +3,12 @@ loops they replaced (closure_reference.py): equal module spans on free
 modules and on random modules whose addition commutes, and the same primes,
 semiprime count and Krull dimension from ``prime_spectrum_krull`` on every
 oracle carrier, max-min chains failing with the same assertion, and on
-carriers with several primes."""
+carriers with several primes.
+
+Also the tangible-spanning violations of ``verify_admissible`` and of
+``verify_module_pair(admissible=True)`` against the pairwise closure they
+used before ``pairs.unspanned``, on drawn 2-5 element tables whose addition
+commutes or not and associates or not, many of whose seeds do not span."""
 
 import itertools
 import math
@@ -14,8 +19,9 @@ import pytest
 
 import closure_reference as ref
 from pairalg.congruences import prime_spectrum_krull
-from pairalg.growth import ModulePair, free_module_pair
-from pairalg.pairs import SemiringPair
+from pairalg.growth import ModulePair, free_module_pair, verify_module_pair
+from pairalg.pairs import SemiringPair, additive_closure, verify_admissible
+from pairalg.semirings import FiniteSemiring
 from pairalg.structio import load_structures
 from test_congruence_oracle import BASES, table_pair
 
@@ -115,3 +121,79 @@ def test_prime_spectrum_matches_reference(p):
     k = p.carrier.n
     if p.name == "maxmin(%d)" % k and k >= 3:
         assert got == ("assert", "semiprime/prime-intersection mismatch")
+
+
+# ---------------------------------------------------------------------------
+# Tangible spanning
+
+
+def drawn_addition(rng, m):
+    """An m x m addition table: half the time from an associative family
+    (Z_m, a max chain, a left- or right-zero band) under a random relabelling,
+    else uniform, and symmetrised half the time."""
+    if rng.random() < 0.5:
+        perm = list(range(m))
+        rng.shuffle(perm)
+        op = rng.choice([lambda i, j: (i + j) % m, max,
+                         lambda i, j: i, lambda i, j: j])
+        inv = {v: k for k, v in enumerate(perm)}
+        return [[perm[op(inv[i], inv[j])] for j in range(m)] for i in range(m)]
+    t = [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
+    if rng.random() < 0.5:
+        for i, j in itertools.combinations(range(m), 2):
+            t[j][i] = t[i][j]
+    return t
+
+
+def spanning(report):
+    return [v.witness[0] for v in report.violations
+            if v.axiom == "tangible-spanning"]
+
+
+def shapes(add, m, seeds):
+    """(commutes, associates, seeds span, the right-add pass alone misses
+    what the pairwise closure reaches)."""
+    r = range(m)
+    right = additive_closure(None, seeds, [lambda x, t=t: add[x][t] for t in seeds])
+    full = additive_closure(lambda x, y: add[x][y], seeds)
+    return (all(add[i][j] == add[j][i] for i in r for j in r),
+            all(add[add[i][j]][k] == add[i][add[j][k]] for i in r for j in r for k in r),
+            full >= set(r), right != full)
+
+
+def test_admissible_spanning_matches_reference():
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(1500):
+        m = rng.randint(2, 5)
+        add = drawn_addition(rng, m)
+        mul = [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
+        s = FiniteSemiring([str(i) for i in range(m)], add, mul, 0, 1)
+        tang = [x for x in range(m) if rng.random() < 0.4]
+        p = SemiringPair(s, [x for x in range(m) if rng.random() < 0.3], tang)
+        assert spanning(verify_admissible(p)) == ref.admissible_unspanned(p)
+        seen.add(shapes(add, m, set(tang) | {0}))
+    # every mix of commuting, associating and spanning is drawn, and the
+    # pairwise closure decides some tables with and without commuting
+    assert {s[:3] for s in seen} == set(itertools.product((True, False), repeat=3))
+    assert {s[0] for s in seen if s[3]} == {True, False}
+
+
+def test_module_spanning_matches_reference():
+    rng = random.Random(2)
+    seen = set()
+    for _ in range(600):
+        p = rng.choice(PAIRS)
+        m = rng.randint(2, 5)
+        add = drawn_addition(rng, m)
+        act = {a: [rng.randrange(m) for _ in range(m)] for a in p.carrier.elements()}
+        zero = rng.randrange(m)
+        tang = [v for v in range(m) if rng.random() < 0.4]
+        mp = ModulePair(p, range(m), lambda v, w, t=add: t[v][w],
+                        lambda a, v, t=act: t[a][v], zero,
+                        [v for v in range(m) if rng.random() < 0.3], tang)
+        assert (spanning(verify_module_pair(mp, admissible=True))
+                == ref.module_unspanned(mp))
+        seen.add(shapes(add, m, set(tang) | {zero}))
+    assert {s[:3] for s in seen} == set(itertools.product((True, False), repeat=3))
+    assert {s[0] for s in seen if s[3]} == {True, False}

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from pairalg import extensions
+from pairalg.cli import builtin_structures, main
 from pairalg.errors import BoundExhausted
 from pairalg.extensions import (ExtensionPair, det_chain_report, is_algebraic,
                                 is_congruence_algebraic, is_integral, mat_vec,
@@ -51,6 +53,50 @@ def test_tangible_coefficient_representation(st3):
     s = Polynomial(st3, 1, {(1,): one, (0,): one})
     v = tangible_coefficient_representation(ext, s, s, degree_bound=1)
     assert v
+
+
+def test_coefficient_scans_work_cap(monkeypatch, capsys):
+    # nat-plus-times at window 2 draws coefficients from 0, 1, 2; degree 2
+    # charges 3 + 9 tuples to the integral scan, 9 + 27 to the algebraic
+    # one (a zero leading coefficient is not evaluated), and 3 + 9 + 27 to
+    # the tangible one, which finds x^2 + 2 at its 32nd tuple
+    assert extensions.MAX_COEFF_TUPLES == 200000
+    p = builtin_structures("nat-plus-times")["pair"]
+    ext = ExtensionPair(p)
+    x = Polynomial.variable(p, 1)
+    s = Polynomial(p, 1, {(2,): 1, (0,): 2})
+    evals = []
+    eval_poly = ExtensionPair.eval_poly
+
+    def counted(self, coeffs, powers):
+        evals.append(coeffs)
+        return eval_poly(self, coeffs, powers)
+
+    monkeypatch.setattr(ExtensionPair, "eval_poly", counted)
+    cases = [(is_integral, (x,), 12, 12, 3),
+             (is_algebraic, (x,), 36, 24, 6),
+             (tangible_coefficient_representation, (x, s), 39, 32, 12)]
+    for f, args, tuples, scanned, below in cases:
+        for cap, want in ((tuples, scanned), (tuples - 1, below), (0, 0)):
+            monkeypatch.setattr(extensions, "MAX_COEFF_TUPLES", cap)
+            evals.clear()
+            v = f(ext, *args, degree_bound=2, window=2)
+            assert len(evals) == want, (f.__name__, cap)
+            spent = "work cap MAX_COEFF_TUPLES=%d spent" % cap
+            assert (v.detail == spent) == (cap < tuples), (f.__name__, cap)
+            if cap < tuples:
+                assert (v.status, v.bound) == ("unknown", cap)
+    # at the default cap, degree 3 and window 20: the integral scan's
+    # 21 + 441 + 9261 tuples fit, the algebraic scan's 194,481 of degree 3
+    # do not, and the congruence-algebraic search is refused before it
+    # evaluates anything
+    monkeypatch.setattr(extensions, "MAX_COEFF_TUPLES", 200000)
+    evals.clear()
+    argv = ["classify-element", "nat-plus-times", "--element", "x",
+            "--degree", "3", "--window", "20"]
+    assert main(argv) == 3
+    assert len(evals) == 9723 + 420 + 8820
+    assert "work cap MAX_COEFF_TUPLES=200000 spent" in capsys.readouterr().out
 
 
 def test_negated_determinant_2x2(double_bool):

@@ -7,7 +7,7 @@ F_11 and F_13 under both A0 choices, the fixture semirings viewed as
 hyperrings, and drawn 2-4 element tables, many of which fail an axiom.
 
 Also: the power-set carrier's sums and products of subsets it did not make,
-the admissibility reports of power-set pairs of Krasner quotients, and
+the sums its closure forms, the admissibility reports of power-set pairs of Krasner quotients, and
 Krasner quotients read from the semiring's tables against the quotient of
 the semiring viewed as a hyperring."""
 
@@ -187,6 +187,32 @@ def test_carrier_sums_products_outside_its_closure(q, g, outside):
     assert set(c.elements()) == closure
     copies = [frozenset(set(s)) for s in c.elements()]
     check_operands(h, c, sorted(beyond, key=sorted) + copies)
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_carrier_closure_forms_n_sums_per_element(q, monkeypatch):
+    """Built on a Krasner quotient with n <= 7 classes, the carrier forms
+    exactly n sums per element it reaches, one per singleton, and reaches
+    the reference's pairwise closure."""
+    sums = []
+    add = PowersetCarrier.add
+
+    def counted(self, x, y):
+        sums.append(1)
+        return add(self, x, y)
+
+    monkeypatch.setattr(PowersetCarrier, "add", counted)
+    built = 0
+    for g in unit_subgroups(q):
+        h = quotient(q, tuple(g))
+        if h.n > 7:
+            continue
+        sums.clear()
+        c = PowersetCarrier(h)
+        assert len(sums) == len(c.elements()) * h.n
+        assert c.elements() == ref.powerset_pair(h).carrier.elements()
+        built += 1
+    assert built == {11: 3, 13: 5}[q]
 
 
 # ---------------------------------------------------------------------------

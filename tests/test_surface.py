@@ -1,6 +1,7 @@
 """The library's surface, read from its source: the number of parameters a
 caller can leave out does not rise, every name a module imports is used, and
-no invariant rests on an ``assert`` statement, which ``python -O`` drops.
+no invariant rests on an ``assert`` statement, which ``python -O`` drops,
+and every module-level ``MAX_*`` cap is named in the README.
 A change that adds a knob raises ``SETTABLE_PARAMETERS`` in the same diff and
 says why."""
 
@@ -142,3 +143,13 @@ def test_only_semirings_reads_the_operation_fields():
              if (isinstance(node, ast.Attribute) and node.attr in ("add_fn", "mul_fn"))
              or (isinstance(node, ast.Constant) and node.value in ("add_fn", "mul_fn"))]
     assert not reads
+
+
+def test_every_cap_is_named_in_the_readme():
+    with open(os.path.join(SRC, "..", "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    caps = ["%s:%s" % (module, t.id) for module in MODULES
+            for node in tree(module).body if isinstance(node, ast.Assign)
+            for t in node.targets if getattr(t, "id", "").startswith("MAX_")]
+    assert len(caps) >= 9
+    assert not [cap for cap in caps if cap.split(":")[1] not in readme]
