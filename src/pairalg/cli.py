@@ -8,7 +8,9 @@ import argparse
 import contextlib
 import functools
 import io
+import itertools
 import json
+import operator
 import os
 import sys
 
@@ -121,11 +123,15 @@ def _write(x, out, pad):
             sep = "," + inner
         out.append(pad + "}")
         return
-    sep = "[" + inner
+    # an item that is exactly a str is written here, with no call
+    sep, comma = "[" + inner, "," + inner
     for v in x:
         out.append(sep)
-        _write(v, out, inner)
-        sep = "," + inner
+        if type(v) is str:
+            out.append(_encode(v))
+        else:
+            _write(v, out, inner)
+        sep = comma
     out.append(pad + "]")
 
 
@@ -258,8 +264,11 @@ def cmd_radical(args, p):
 def cmd_polyroots(args, p):
     f = parse_poly(p, args.poly)
     roots = find_preceq_roots(f, p.elements(args.window))
-    # a root's first coordinate repeats over the later ones: label it once
-    labels = list(map(functools.cache(p.carrier.label), (r[0] for r in roots)))
+    # roots come in scan order, so equal first coordinates are adjacent:
+    # label each run once
+    label, labels = p.carrier.label, []
+    for first, run in itertools.groupby(map(operator.itemgetter(0), roots)):
+        labels += [label(first)] * len(list(run))
     report = {"poly": args.poly, "roots": labels}
     if not p.carrier.finite:
         report["window"] = args.window

@@ -3,6 +3,7 @@ monoid T, surpassing relations, Property N and negation maps, reversibility,
 centers, and the degeneracy predicates."""
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -17,12 +18,34 @@ from .errors import (
 DEFAULT_WINDOW = 20
 
 
+class _Op(property):
+    """A rule held in the instance attribute ``field``. Put on a class as
+    ``op``, ``obj.op`` is that function itself, read and set with no Python
+    frame between, and ``Class.op(obj, *args)`` calls it, so a wrapper put
+    on the class still sees every call."""
+
+    def __init__(self, field):
+        super().__init__(operator.attrgetter(field),
+                         lambda obj, fn: setattr(obj, field, fn))
+
+    def __call__(self, obj, *args):
+        return self.fget(obj)(*args)
+
+
 class SemiringPair:
     """Carrier semiring A with quasi-zero sub-semiring A0 and tangible monoid
     T. For finite carriers A0 and T are index sets; for symbolic ones they are
     membership predicates, with ``tangible_sample`` supplying a probe set.
     Each layer's kind is fixed when the pair is built: ``in_a0`` and
-    ``is_tangible`` are the predicate itself or the set's membership test."""
+    ``is_tangible`` are the predicate itself or the set's membership test.
+    ``surpasses`` is the field ``surpass_rule``: by default the method that
+    calls ``surpass_fn(b1, b2)`` when one is given and searches for a
+    precedes-zero witness otherwise. A pair whose relation has a closed form
+    taking the window as an optional third argument sets ``surpass_rule``
+    to it, and ``p.surpasses`` is then that function, with no frame
+    between."""
+
+    surpasses = _Op("surpass_rule")
 
     def __init__(
         self,
@@ -62,7 +85,7 @@ class SemiringPair:
 
     # -- surpassing
 
-    def surpasses(self, b1, b2, window=DEFAULT_WINDOW):
+    def surpass_rule(self, b1, b2, window=DEFAULT_WINDOW):
         """b1 <= b2 under the pair's surpassing relation. Returns True/False
         on finite carriers, and may return None (unknown within the witness
         window) on symbolic ones."""

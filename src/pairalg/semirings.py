@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import AxiomReport, StructureError, UnsupportedStructureError
-from .pairs import DEFAULT_WINDOW, SemiringPair
+from .pairs import DEFAULT_WINDOW, SemiringPair, _Op
 
 
 class Carrier:
@@ -97,20 +97,6 @@ class FiniteSemiring(Labelled, Carrier):
         return "FiniteSemiring(%s, n=%d)" % (self.name, self.n)
 
 
-class _Op(property):
-    """A carrier operation held in the instance field ``field``: ``c.add`` is
-    that function itself, read and set with no Python frame between, and
-    ``SymbolicSemiring.add(c, x, y)`` calls it, so a wrapper put on the class
-    still sees every call."""
-
-    def __init__(self, field):
-        super().__init__(operator.attrgetter(field),
-                         lambda c, fn: setattr(c, field, fn))
-
-    def __call__(self, c, x, y):
-        return self.fget(c)(x, y)
-
-
 @dataclass
 class SymbolicSemiring(Carrier):
     """An infinite carrier presented by rules. ``sample_fn(window)`` yields a
@@ -142,16 +128,41 @@ class SymbolicSemiring(Carrier):
 def tabulate(carrier, elements):
     """The table semiring of a carrier closed on ``elements``, and the map
     from each element to its index. Elements keep their order; labels, name,
-    zero and one come from the carrier."""
+    zero and one come from the carrier. Raises StructureError, naming the
+    first one, when the zero, the one, or a sum or product of two elements
+    is not among them."""
     elements = list(elements)
     pos = {e: i for i, e in enumerate(elements)}
-    add_table = [[pos[carrier.add(a, b)] for b in elements] for a in elements]
-    mul_table = [[pos[carrier.mul(a, b)] for b in elements] for a in elements]
+    try:
+        add_table = [[pos[carrier.add(a, b)] for b in elements] for a in elements]
+        mul_table = [[pos[carrier.mul(a, b)] for b in elements] for a in elements]
+        zero, one = pos[carrier.zero], pos[carrier.one]
+    except KeyError:
+        escape = _escape(carrier, elements, pos)
+        if escape is None:
+            raise
+        raise StructureError("%s is not among the %d elements"
+                             % (escape, len(elements))) from None
     table = FiniteSemiring(
         [carrier.label(e) for e in elements], add_table, mul_table,
-        zero=pos[carrier.zero], one=pos[carrier.one], name=carrier.name,
+        zero=zero, one=one, name=carrier.name,
     )
     return table, pos
+
+
+def _escape(carrier, elements, pos):
+    """The first of the carrier's zero and one, then the sums and the
+    products of ``elements``, that is not in ``pos``, described; None if
+    all are."""
+    for what, x in (("zero", carrier.zero), ("one", carrier.one)):
+        if x not in pos:
+            return "the carrier's %s %r" % (what, x)
+    for what, op in (("sum", carrier.add), ("product", carrier.mul)):
+        for a, b in itertools.product(elements, repeat=2):
+            x = op(a, b)
+            if x not in pos:
+                return "the %s of %r and %r, %r," % (what, a, b, x)
+    return None
 
 
 def _tabulated_pair(p):
@@ -314,61 +325,53 @@ def max_plus_naturals_monoid():
     return m
 
 
-def _st_add(gt):
+def _st_add(rank):
+    """The supertropical sum: the larger value wins, and two equal values
+    give their ghost. Values compare by ``>``, or by ``rank`` on a finite
+    monoid."""
+
     def add(x, y):
-        if x == ST_ZERO:
+        if x[0] == "z":
             return y
-        if y == ST_ZERO:
+        if y[0] == "z":
             return x
-        vx, vy = x[1], y[1]
+        vx = x[1]
+        vy = y[1]
         if vx == vy:
             return ("g", vx)
-        return x if gt(vx, vy) else y
+        if rank is None:
+            return x if vx > vy else y
+        return x if rank[vx] > rank[vy] else y
 
     return add
 
 
-def _order(m):
-    """The strict order test of a monoid: ``>`` on the symbolic integers, by
-    rank in the ascending element list on a finite monoid."""
-    if m.elements is None:
-        return operator.gt
-    rank = {e: i for i, e in enumerate(m.elements)}
-    return lambda a, b: rank[a] > rank[b]
-
-
-def _st_mul(m):
-    op = m.op
-
+def _st_mul(op):
     def mul(x, y):
-        if x == ST_ZERO or y == ST_ZERO:
+        if x[0] == "z" or y[0] == "z":
             return ST_ZERO
-        tag = "t" if x[0] == y[0] == "t" else "g"
-        return (tag, op(x[1], y[1]))
+        return ("t" if x[0] == y[0] == "t" else "g", op(x[1], y[1]))
 
     return mul
 
 
 def supertropical_extension(t):
     """The supertropical pair over a totally ordered multiplicative monoid:
-    carrier T u Tv u {0}, ghosts a+a = av, quasi-zeros are the ghosts with 0."""
+    carrier T u Tv u {0}, ghosts a+a = av, quasi-zeros are the ghosts with 0.
+    Each rule is one function that calls no other Python function: zero is
+    told by its tag, and values compare by ``>`` on the symbolic integers and
+    by their rank in the ascending element list on a finite monoid. Over a
+    finite monoid the pair is tabulated; a symbolic pair's surpassing
+    relation is a closed form, set as its ``surpass_rule``."""
     if not isinstance(t, OrderedMonoid):
         raise UnsupportedStructureError("supertropical extension needs an ordered monoid")
-    gt = _order(t)
-
-    def st_surpass(b1, b2):
-        # b1 precedes b2 (witness y in A0) has a closed form here
-        if b1 == b2:
-            return True
-        if b2 == ST_ZERO or b2[0] != "g":
-            return False
-        return b1 == ST_ZERO or not gt(b1[1], b2[1])
+    rank = None if t.elements is None else {e: i for i, e in enumerate(t.elements)}
 
     carrier = SymbolicSemiring(
         name=("supertropical_symbolic" if t.elements is None
               else "supertropical(%d)" % len(t.elements)),
-        add_fn=_st_add(gt),
-        mul_fn=_st_mul(t),
+        add_fn=_st_add(rank),
+        mul_fn=_st_mul(t.op),
         zero=ST_ZERO,
         one=("t", t.unit),
         sample_fn=lambda window: [ST_ZERO]
@@ -378,13 +381,24 @@ def supertropical_extension(t):
     )
     p = SemiringPair(
         carrier,
-        a0=lambda x: x == ST_ZERO or x[0] == "g",
-        tangibles=lambda x: x != ST_ZERO and x[0] == "t",
-        surpass_fn=st_surpass,
+        a0=lambda x: x[0] != "t",
+        tangibles=lambda x: x[0] == "t",
         negation_hint=lambda x: x,
         name=carrier.name,
     )
-    return p if t.elements is None else _tabulated_pair(p)
+    if rank is not None:
+        return _tabulated_pair(p)
+
+    def st_surpass(b1, b2, *_window):
+        # b1 precedes b2 (witness y in A0) has a closed form here
+        if b1 == b2:
+            return True
+        if b2[0] != "g":
+            return False
+        return b1[0] == "z" or not b1[1] > b2[1]
+
+    p.surpass_rule = st_surpass
+    return p
 
 
 def supertropical_integers():

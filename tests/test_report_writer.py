@@ -7,10 +7,13 @@ import collections
 import contextlib
 import io
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import report_reference as ref
 from pairalg import cli
+from pairalg.polynomials import find_preceq_roots, parse_poly
+from pairalg.semirings import supertropical_integers
 from pairalg.structio import serialize_structures
 from test_congruence_oracle import max_min_pair
 
@@ -99,6 +102,22 @@ def test_emit_writes_the_reference_bytes(report, structure):
     assert emitted(args, report) == ref.dumps({**head, **report}) + "\n"
 
 
+class JsonLabel(str):
+    def as_json(self):
+        return {"label": str(self)}
+
+
+# the list loop writes an item that is exactly a str itself; a str
+# subclass, here one with as_json, or any other item goes through _write
+@pytest.mark.parametrize("items", [
+    ["a", "b\n", "é"], ["a", "b", JsonLabel("c")], ["a", "b", 3],
+    ["a", Label("b")], ["a", ["b"]], ("a", "b")])
+def test_lists_of_strings_write_the_reference_bytes(items):
+    args = argparse.Namespace(command="c")
+    report = {"items": items, "nested": {"k": [items, "x"]}}
+    assert emitted(args, report) == ref.dumps({"command": "c", **report}) + "\n"
+
+
 def cli_stdout_and_reference(monkeypatch, capsys, argv):
     """The CLI's stdout and the reference encoding of the report its
     handler passed to ``emit``."""
@@ -129,3 +148,18 @@ def test_cli_verify_report_bytes(monkeypatch, capsys):
     out, want = cli_stdout_and_reference(
         monkeypatch, capsys, ["verify", "supertropical-integers", "--window", "3"])
     assert out == want and '"valid": true' in out
+
+
+def test_cli_polyroots_report_bytes(monkeypatch, capsys):
+    # two variables: each first coordinate heads a run of roots, labelled once
+    poly = "x*y + 1*x + 2v"
+    out, want = cli_stdout_and_reference(
+        monkeypatch, capsys,
+        ["polyroots", "supertropical-integers", "--window", "3", "--poly", poly])
+    assert out == want
+    p = supertropical_integers()
+    roots = find_preceq_roots(parse_poly(p, poly), p.elements(3))
+    firsts = [r[0] for r in roots]
+    assert len(set(firsts)) < len(firsts) > 10
+    labels = [p.carrier.label(x) for x in firsts]
+    assert '"roots": [\n    %s\n  ]' % ",\n    ".join('"%s"' % x for x in labels) in out

@@ -1,9 +1,14 @@
 import itertools
+import operator
 
+import pytest
 from hypothesis import given, strategies as st
 
-from pairalg.semirings import (boolean_semiring, double, nmax_trunc,
-                               supertropical_naturals, verify_semiring_axioms)
+from pairalg.errors import StructureError
+from pairalg.semirings import (OrderedMonoid, boolean_semiring, double,
+                               nat_plus_times, nmax_trunc,
+                               supertropical_extension, supertropical_naturals,
+                               tabulate, verify_semiring_axioms)
 
 
 def test_boolean_tables(B):
@@ -91,3 +96,20 @@ def test_nmax_trunc_tables_are_truncated_max_plus():
                 prod = None if None in (a, b) else min(a + b, n)
                 assert values[s.add(i, j)] == top
                 assert values[s.mul(i, j)] == prod
+
+
+def test_tabulate_refuses_elements_the_carrier_leaves():
+    # 2 * 2 = 4 leaves {1, 2, 3}; the error names both operands and the result
+    m = OrderedMonoid(op=operator.mul, unit=1, elements=[1, 2, 3])
+    with pytest.raises(StructureError, match=r"the product of \('t', 2\) and "
+                       r"\('t', 2\), \('t', 4\), is not among the 7 elements"):
+        supertropical_extension(m)
+    nat = nat_plus_times()
+    with pytest.raises(StructureError, match="the sum of 1 and 1, 2, is not among"):
+        tabulate(nat, [0, 1])
+    with pytest.raises(StructureError, match="the carrier's zero 0 is not among"):
+        tabulate(nat, [1])
+    with pytest.raises(StructureError, match="the carrier's one 1 is not among"):
+        tabulate(nat, [0])
+    table, pos = tabulate(boolean_semiring(), [1, 0])
+    assert pos == {1: 0, 0: 1} and table.add_table == [[0, 0], [0, 1]]

@@ -6,6 +6,7 @@ A change that adds a knob raises ``SETTABLE_PARAMETERS`` in the same diff and
 says why."""
 
 import ast
+import itertools
 import os
 
 import pytest
@@ -133,6 +134,39 @@ def test_symbolic_operations_are_the_carriers_own_functions():
 
         c.add = first
         assert c.add_fn is first and "add" not in vars(c)
+
+
+@pytest.mark.parametrize("builtin", ["supertropical_naturals",
+                                     "supertropical_integers"])
+def test_supertropical_rules_open_one_frame_per_call(builtin):
+    # each rule is the function a hot loop calls, and it calls no other
+    # Python function: a helper or lambda put back inside one fails here
+    import sys
+
+    from pairalg import semirings
+
+    p = getattr(semirings, builtin)()
+    c = p.carrier
+    sample = c.sample(10)
+    pairs = list(itertools.product(sample, repeat=2))[:300]
+    calls = [(c.add, pairs), (c.mul, pairs), (p.surpasses, pairs),
+             (p.in_a0, [(x,) for x in sample] * 20),
+             (p.is_tangible, [(x,) for x in sample] * 20)]
+    for fn, args in calls:
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for a in args:
+                fn(*a)
+        finally:
+            sys.setprofile(None)
+        assert len(args) >= 200
+        assert len(frames) == len(args), (fn, sorted(set(frames)))
 
 
 def test_only_semirings_reads_the_operation_fields():
